@@ -236,6 +236,13 @@ func TestBuildBenchmarkLPShape(t *testing.T) {
 		if len(rows) != len(s.Events)+1 {
 			t.Fatalf("column %d has %d rows for set of %d events", j, len(rows), len(s.Events))
 		}
+		// strictly ascending rows: the condition under which the LP's
+		// pivot-row scatter reproduces the column dot product bit for bit
+		for k := 1; k < len(rows); k++ {
+			if rows[k] <= rows[k-1] {
+				t.Fatalf("column %d rows %v do not strictly ascend", j, rows)
+			}
+		}
 		for k := range vals {
 			if vals[k] != 1 {
 				t.Fatalf("column %d has non-unit coefficient %v", j, vals[k])

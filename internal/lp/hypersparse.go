@@ -16,9 +16,9 @@ import "sort"
 //
 // Each DFS carries a step cap (HypersparseThreshold · m): if the reach
 // grows past it the sparse attempt aborts — cleaning up whatever it touched
-// — and the caller falls through to the dense (sequential or
-// level-scheduled) path. Since both paths compute the same bits, the
-// threshold moves work between kernels without ever moving a pivot.
+// — and the caller falls through to the dense sequential sweep. Since both
+// paths compute the same bits, the threshold moves work between kernels
+// without ever moving a pivot.
 
 // hyperReach is the reusable symbolic state: two epoch-stamped visited maps
 // (one per solve phase — the phases reach over different graphs and may
@@ -167,7 +167,7 @@ func (f *luFactors) solveBTHyper(h *hyperReach, c, out, work []float64, seeds []
 	if reachCap <= 0 || len(seeds) > reachCap {
 		return false
 	}
-	f.buildSchedule() // row-major mirrors double as the transposed reach graphs
+	f.buildRowMirrors() // the transposed reach graphs
 	h.reset(f.m)
 	// Phase Uᵀ: t[k] = (c_k − Σ_{s<k} U[s,k]·t[s]) / U[k,k], forward. A seed
 	// at step s influences exactly the steps holding s in their U column —

@@ -231,3 +231,147 @@ func TestHypersparseThresholdInvariance(t *testing.T) {
 			sawHyper, sawDense)
 	}
 }
+
+// TestLURowMirrorsRebuiltAfterRefactorize guards the staleness contract of
+// the lazily built CSR mirrors the hypersparse BTRAN walks: factorize
+// invalidates them, so a hypersparse solve after an in-place
+// refactorization must match the fresh sequential solve, not the old
+// factors'.
+func TestLURowMirrorsRebuiltAfterRefactorize(t *testing.T) {
+	rng := xrand.New(11)
+	m := 40
+	f, err := luFactorize(m, randomBasis(rng, m))
+	if err != nil {
+		t.Fatalf("factorize A: %v", err)
+	}
+	h := &hyperReach{}
+	work := make([]float64, m)
+	c := make([]float64, m)
+	c[3], c[17] = 0.75, -1.25
+	seeds := []int32{3, 17}
+	out := make([]float64, m)
+	if !f.solveBTHyper(h, c, out, work, seeds, nil, m) { // builds the mirrors for A
+		t.Fatal("solveBTHyper on A aborted below an m-step cap")
+	}
+
+	// refactorize the same struct with a different matrix
+	colsB := randomBasis(rng, m)
+	sp := make([]spCol, m)
+	for j := range colsB {
+		r32 := make([]int32, len(colsB[j].Rows))
+		for k, r := range colsB[j].Rows {
+			r32[k] = int32(r)
+		}
+		sp[j] = spCol{rows: r32, vals: colsB[j].Vals}
+	}
+	if err := f.factorize(m, sp); err != nil {
+		t.Fatalf("factorize B: %v", err)
+	}
+	want := make([]float64, m)
+	f.solveBT(c, want, work)
+	if !f.solveBTHyper(h, c, out, work, seeds, nil, m) {
+		t.Fatal("solveBTHyper on B aborted below an m-step cap")
+	}
+	for i := range want {
+		if canonBits(out[i]) != canonBits(want[i]) {
+			t.Fatalf("post-refactorize row %d: hypersparse %v, sequential %v", i, out[i], want[i])
+		}
+	}
+}
+
+// TestHypersparseDegenerateShapes pins the hypersparse kernels on the factor
+// shapes at the extremes of the reach: the identity (the reach is the seeds
+// alone), a lower-bidiagonal chain (one seed reaches every later step), fully
+// dense columns (maximum fill: ~m²/2 factor nonzeros) and m = 1. For sparse
+// right-hand sides the kernels must reproduce the sequential sweeps' bits
+// (modulo zero sign) and hand back zeroed scratch.
+func TestHypersparseDegenerateShapes(t *testing.T) {
+	rng := xrand.New(7)
+	check := func(t *testing.T, m int, cols []Column) {
+		t.Helper()
+		f, err := luFactorize(m, cols)
+		if err != nil {
+			t.Fatalf("factorize: %v", err)
+		}
+		h := &hyperReach{}
+		work := make([]float64, m)
+		dense := make([]float64, m)
+		sparse := make([]float64, m)
+		seedSets := [][]int32{{0}, {int32(m - 1)}, {0, int32(m / 2)}}
+		for _, seeds := range seedSets {
+			if len(seeds) == 2 && seeds[0] == seeds[1] {
+				continue
+			}
+			vals := make([]float64, len(seeds))
+			c := make([]float64, m)
+			for i, r := range seeds {
+				vals[i] = rng.Float64()*4 - 2
+				c[r] = rng.Float64()*4 - 2
+			}
+			f.solveB(seeds, vals, dense, work)
+			if !f.solveBHyper(h, seeds, vals, sparse, work, m) {
+				t.Fatalf("seeds %v: solveBHyper aborted below an m-step cap", seeds)
+			}
+			for i := range dense {
+				if canonBits(dense[i]) != canonBits(sparse[i]) {
+					t.Fatalf("seeds %v: ftran row %d: dense %v sparse %v", seeds, i, dense[i], sparse[i])
+				}
+			}
+			f.solveBT(c, dense, work)
+			if !f.solveBTHyper(h, c, sparse, work, seeds, nil, m) {
+				t.Fatalf("seeds %v: solveBTHyper aborted below an m-step cap", seeds)
+			}
+			for i := range dense {
+				if canonBits(dense[i]) != canonBits(sparse[i]) {
+					t.Fatalf("seeds %v: btran row %d: dense %v sparse %v", seeds, i, dense[i], sparse[i])
+				}
+			}
+			for i, v := range work {
+				if v != 0 {
+					t.Fatalf("seeds %v: scratch not restored to zero at %d: %v", seeds, i, v)
+				}
+			}
+		}
+	}
+
+	t.Run("identity", func(t *testing.T) {
+		m := 37
+		cols := make([]Column, m)
+		for j := range cols {
+			cols[j] = Column{Rows: []int{j}, Vals: []float64{1 + rng.Float64()}}
+		}
+		check(t, m, cols)
+	})
+	t.Run("chain", func(t *testing.T) {
+		// lower bidiagonal: column j covers rows j and j+1, so L is a chain
+		m := 33
+		cols := make([]Column, m)
+		for j := 0; j < m; j++ {
+			if j == m-1 {
+				cols[j] = Column{Rows: []int{j}, Vals: []float64{2}}
+				continue
+			}
+			cols[j] = Column{Rows: []int{j, j + 1}, Vals: []float64{2, -1}}
+		}
+		check(t, m, cols)
+	})
+	t.Run("fully_dense_columns", func(t *testing.T) {
+		m := 24
+		cols := make([]Column, m)
+		for j := range cols {
+			col := Column{Rows: make([]int, m), Vals: make([]float64, m)}
+			for i := 0; i < m; i++ {
+				col.Rows[i] = i
+				col.Vals[i] = rng.Float64()*2 - 1
+				if i == j {
+					col.Vals[i] += float64(m) // diagonal dominance: nonsingular
+				}
+			}
+			cols[j] = col
+		}
+		check(t, m, cols)
+	})
+	t.Run("m_equals_1", func(t *testing.T) {
+		check(t, 1, []Column{{Rows: []int{0}, Vals: []float64{3}}})
+	})
+}

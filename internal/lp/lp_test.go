@@ -2,8 +2,8 @@ package lp
 
 import (
 	"math"
-	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"github.com/ebsn/igepa/internal/xrand"
@@ -348,10 +348,15 @@ func BenchmarkDenseMediumPacking(b *testing.B) {
 
 // The pooled Devex passes must reproduce the sequential solve bit-for-bit:
 // same pivots, same primal solution, same objective. ParallelThreshold 1
-// forces the worker-pool code paths even on this small LP.
+// forces the worker-pool code paths even on this small LP. The same holds on
+// either side of the pivot-row density cutoff: forcing every pivot row
+// through the sparse row scatter, or every one through the dense column
+// pass, must not move a single bit (the LP's columns ascend, the condition
+// under which the two kernels agree).
 func TestRevisedDevexWorkerInvariance(t *testing.T) {
 	rng := xrand.New(31)
 	p := randomPacking(rng, 300, 60, 6)
+	ascendColumns(p)
 	solve := func(workers int) *Solution {
 		sol, err := (&Revised{Pricing: "devex", Workers: workers, ParallelThreshold: 1}).Solve(p)
 		if err != nil {
@@ -362,29 +367,68 @@ func TestRevisedDevexWorkerInvariance(t *testing.T) {
 	ref := solve(1)
 	check := func(label string, workers int, got *Solution) {
 		t.Helper()
-		if got.Objective != ref.Objective || got.Iterations != ref.Iterations {
+		if math.Float64bits(got.Objective) != math.Float64bits(ref.Objective) || got.Iterations != ref.Iterations {
 			t.Fatalf("%s workers=%d: objective/iterations %v/%d, want %v/%d",
 				label, workers, got.Objective, got.Iterations, ref.Objective, ref.Iterations)
 		}
-		if !reflect.DeepEqual(got.X, ref.X) || !reflect.DeepEqual(got.Y, ref.Y) {
-			t.Fatalf("%s workers=%d: solution vectors differ", label, workers)
-		}
+		requireSameBits(t, label+" X", got.X, ref.X)
+		requireSameBits(t, label+" Y", got.Y, ref.Y)
 	}
 	for _, workers := range []int{2, 4, 7, runtime.GOMAXPROCS(0)} {
 		check("pooled-devex", workers, solve(workers))
 	}
+	for _, phase := range []struct {
+		label  string
+		factor int
+	}{{"all-sparse-rows", 0}, {"all-dense-rows", math.MaxInt32}} {
+		forcePivotRowFactor(t, phase.factor)
+		for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+			check(phase.label, workers, solve(workers))
+		}
+	}
+}
 
-	// Force the level-scheduled LU solves on this tiny basis as well (the
-	// default thresholds keep them sequential here) and require the same
-	// solutions: the sequential reference above sits on the other side of
-	// the parallel/sequential threshold boundary, so this pins both the
-	// worker invariance of the level solves and the boundary itself.
-	oldRows, oldRHS, oldGrain := luParallelMinRows, luParallelMinRHS, luLevelGrain
-	luParallelMinRows, luParallelMinRHS, luLevelGrain = 1, 1, 1
-	defer func() {
-		luParallelMinRows, luParallelMinRHS, luLevelGrain = oldRows, oldRHS, oldGrain
-	}()
-	for _, workers := range []int{1, 2, 4, 7, runtime.GOMAXPROCS(0)} {
-		check("level-lu", workers, solve(workers))
+// forcePivotRowFactor overrides the pivot-row density cutoff for the rest of
+// the test: 0 sends every pivot row through the sparse scatter, a huge factor
+// through the dense pass. Restored via t.Cleanup.
+func forcePivotRowFactor(t *testing.T, factor int) {
+	t.Helper()
+	old := pivotRowSparseFactor
+	pivotRowSparseFactor = factor
+	t.Cleanup(func() { pivotRowSparseFactor = old })
+}
+
+// ascendColumns sorts every column's (row, value) pairs by row in place.
+func ascendColumns(p *Problem) {
+	for j := 0; j < p.NumCols(); j++ {
+		lo, hi := p.ColPtr[j], p.ColPtr[j+1]
+		rows, vals := p.Rows[lo:hi], p.Vals[lo:hi]
+		sort.Sort(colByRow{rows, vals})
+	}
+}
+
+type colByRow struct {
+	rows []int32
+	vals []float64
+}
+
+func (c colByRow) Len() int           { return len(c.rows) }
+func (c colByRow) Less(a, b int) bool { return c.rows[a] < c.rows[b] }
+func (c colByRow) Swap(a, b int) {
+	c.rows[a], c.rows[b] = c.rows[b], c.rows[a]
+	c.vals[a], c.vals[b] = c.vals[b], c.vals[a]
+}
+
+// requireSameBits fails unless got and want have identical Float64bits.
+func requireSameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: index %d: got %v (bits %x) want %v (bits %x)",
+				label, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
 	}
 }

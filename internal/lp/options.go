@@ -30,9 +30,6 @@ func (s *Revised) validate() error {
 	if s.PricingWindow < 0 {
 		return &OptionError{"PricingWindow", s.PricingWindow, "must be ≥ 0 (0 selects the default window)"}
 	}
-	if s.PricingCandidates < 0 {
-		return &OptionError{"PricingCandidates", s.PricingCandidates, "must be ≥ 0 (0 selects the auto window)"}
-	}
 	if s.RepairBudget < 0 {
 		return &OptionError{"RepairBudget", s.RepairBudget, "must be ≥ 0 (0 selects the delta-proportional budget)"}
 	}

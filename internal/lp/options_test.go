@@ -22,7 +22,6 @@ func TestRevisedOptionValidation(t *testing.T) {
 		{"negative_max_iter", Revised{MaxIter: -1}, "MaxIter"},
 		{"negative_refactor_every", Revised{RefactorEvery: -3}, "RefactorEvery"},
 		{"negative_pricing_window", Revised{PricingWindow: -64}, "PricingWindow"},
-		{"negative_pricing_candidates", Revised{PricingCandidates: -16}, "PricingCandidates"},
 		{"negative_repair_budget", Revised{RepairBudget: -1}, "RepairBudget"},
 		{"hypersparse_threshold_negative", Revised{HypersparseThreshold: -0.25}, "HypersparseThreshold"},
 		{"hypersparse_threshold_above_one", Revised{HypersparseThreshold: 1.5}, "HypersparseThreshold"},
@@ -61,7 +60,7 @@ func TestRevisedOptionValidation(t *testing.T) {
 		{Pricing: "devex", DualPricing: "dse"},
 		{Pricing: "dantzig", DualPricing: "maxinfeas"},
 		{MaxIter: 100, RefactorEvery: 1, PricingWindow: 8, ParallelThreshold: 1, Workers: 2},
-		{PricingCandidates: 32, RepairBudget: 10, HypersparseThreshold: 0.5},
+		{RepairBudget: 10, HypersparseThreshold: 0.5},
 		{HypersparseThreshold: 1}, // boundary: every triangular solve hypersparse-eligible
 	}
 	for i, cfg := range good {

@@ -289,13 +289,15 @@ func TestResolveValidation(t *testing.T) {
 
 // TestResolveWorkerInvariance pins that the warm path, like the cold one, is
 // bit-identical for every worker count (forced Devex so the pooled pricing
-// passes really run). The whole test also runs with the level-scheduled LU
-// solves and a tiny dual-pricing block width forced on, so the dual repair's
-// pooled ratio test must merge winners across many blocks identically for
-// every pool size, under both leaving rules.
+// passes really run), under both leaving rules. The whole test also runs
+// with every pivot row forced through the sparse row scatter and with every
+// one forced through the dense passes, so the Devex update and the dual
+// repair's ratio test must be worker-invariant on both sides of the density
+// cutoff.
 func TestResolveWorkerInvariance(t *testing.T) {
 	rng := xrand.New(61)
 	p := randomPacking(rng, 200, 40, 6)
+	ascendColumns(p)
 	var d ProblemDelta
 	for j := 0; j < 30; j += 3 {
 		d.RemoveCols = append(d.RemoveCols, j)
@@ -339,20 +341,20 @@ func TestResolveWorkerInvariance(t *testing.T) {
 		}
 	}
 	t.Run("default_thresholds", suite)
-	t.Run("forced_parallel_kernels", func(t *testing.T) {
-		oldRows, oldRHS, oldGrain := luParallelMinRows, luParallelMinRHS, luLevelGrain
-		luParallelMinRows, luParallelMinRHS, luLevelGrain = 1, 1, 1
-		defer func() {
-			luParallelMinRows, luParallelMinRHS, luLevelGrain = oldRows, oldRHS, oldGrain
-		}()
+	t.Run("forced_sparse_pivot_rows", func(t *testing.T) {
+		forcePivotRowFactor(t, 0)
+		suite(t)
+	})
+	t.Run("forced_dense_pivot_rows", func(t *testing.T) {
+		forcePivotRowFactor(t, math.MaxInt32)
 		suite(t)
 	})
 }
 
 // TestResolveRefactorEveryOne drives a warm-resolve chain at the degenerate
 // refactorization cadence — a fresh LU (and, under dse, a fresh steepest-
-// edge reference framework) after every single pivot — so the level
-// schedule's rebuild-after-factorize path and the repair's mid-loop reset
+// edge reference framework) after every single pivot — so the LU row
+// mirrors' rebuild-after-factorize path and the repair's mid-loop reset
 // run constantly. Correctness must be unaffected.
 func TestResolveRefactorEveryOne(t *testing.T) {
 	rng := xrand.New(53)
@@ -388,9 +390,10 @@ func FuzzResolve(f *testing.F) {
 		rng := xrand.New(seed)
 		p := randomPacking(rng, 3+rng.Intn(25), 2+rng.Intn(8), 4)
 		// Rotate the solver knobs through the fuzzed space too: legacy dual
-		// pricing, per-pivot refactorization, the pooled kernels, and the
-		// warm-resolve tuning surface (candidate window, repair budget,
-		// hypersparse threshold) — the optimum must be knob-invariant.
+		// pricing, per-pivot refactorization, the pooled kernels, Devex
+		// pricing (the pivot-row kernel in the primal update), and the
+		// warm-resolve tuning surface (repair budget, hypersparse threshold)
+		// — the optimum must be knob-invariant.
 		var cfg Revised
 		switch rng.Intn(7) {
 		case 1:
@@ -401,7 +404,7 @@ func FuzzResolve(f *testing.F) {
 			cfg.Workers = 2
 			cfg.ParallelThreshold = 1
 		case 4:
-			cfg.PricingCandidates = 1 + rng.Intn(64)
+			cfg.Pricing = "devex"
 		case 5:
 			cfg.RepairBudget = 1 + rng.Intn(32)
 		case 6:
@@ -410,7 +413,6 @@ func FuzzResolve(f *testing.F) {
 		// Degenerate knob values must be rejected up front with a typed
 		// *OptionError naming the knob — never a panic or a wrong answer.
 		for _, bad := range []Revised{
-			{PricingCandidates: -1 - rng.Intn(8)},
 			{RepairBudget: -1 - rng.Intn(8)},
 			{HypersparseThreshold: 1 + rng.Float64()},
 			{HypersparseThreshold: math.NaN()},

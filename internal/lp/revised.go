@@ -24,10 +24,11 @@ import (
 // and is auto-selected for very wide problems, where the per-pivot O(n)
 // Devex update pass costs more than it saves.
 //
-// The Devex update and pricing passes — the dominant cost at paper scale —
-// run on a bounded worker pool over column ranges. Every column's update is
-// arithmetically independent, so the solve is bit-identical for every
-// worker count and GOMAXPROCS setting.
+// The Devex pricing pass and the dense-row update pass — the dominant cost
+// at paper scale — run on a bounded worker pool over column ranges; sparse
+// pivot rows skip the column pass through the row scatter (scatterPivotRow).
+// Every column's update is arithmetically independent, so the solve is
+// bit-identical for every worker count and GOMAXPROCS setting.
 type Revised struct {
 	// MaxIter bounds the number of pivots; 0 means 20000 + 200·(m+n).
 	MaxIter int
@@ -47,19 +48,6 @@ type Revised struct {
 	// partial Dantzig pricing before falling back to a full pass.
 	// 0 means 4096.
 	PricingWindow int
-	// PricingCandidates switches the pricing passes (the dual repair's
-	// priceDual and the primal Devex scan) to a rotating candidate window of
-	// that many columns. The window deterministically rotates through the
-	// column range and widens ("refills", counted in PhaseTimers) whenever
-	// it holds no eligible candidate, so the knob trades scan cost per pivot
-	// against pivot quality — a windowed dual ratio test can overshoot the
-	// dual step and leave cleanup work to the primal finish. 0 (the default)
-	// keeps full ratio-test coverage and instead prices through the
-	// support-scatter pass (see priceDual), which is usually faster AND
-	// trajectory-exact; the knob exists for very wide problems where even
-	// the scatter's selection sweep hurts. Results never depend on Workers
-	// or on the hypersparse threshold, only on this knob's value.
-	PricingCandidates int
 	// RepairBudget bounds the dual-repair pivots per attempt before a
 	// partial-warm cutover (and, on the second exhaustion, the cold
 	// fallback). 0 means auto: proportional to the delta size,
@@ -235,16 +223,6 @@ func (s *Revised) configure(st *revisedState) {
 		thr = defaultHypersparseThreshold
 	}
 	st.hyperCap = int(thr * float64(st.m))
-	// Candidate windows are strictly opt-in (PricingCandidates > 0). A
-	// windowed dual ratio test answers from a column subset, and the
-	// resulting overshot dual steps were measured to explode the primal
-	// cleanup after repair (U1000 capacity shrink: 0 → 4652 finish pivots);
-	// the default path instead keeps full ratio-test coverage and makes the
-	// scan cheap via the support-scatter pass (see priceDual).
-	st.dualWindow, st.primalWindow = 0, 0
-	if w := s.PricingCandidates; w > 0 {
-		st.dualWindow, st.primalWindow = w, w
-	}
 }
 
 // pivot runs the simplex loop from st's current basis, which must already be
@@ -429,15 +407,17 @@ type revisedState struct {
 
 	// dual-repair state: steepest-edge row norms (positional, reset to the
 	// unit reference framework at repair entry and on mid-repair
-	// refactorization), the maintained dual reduced costs, and the
-	// support-scatter pricing scratch. dualRedVec holds red_j = c_j − yᵀa_j
-	// for every nonbasic column (basic slots hold don't-care garbage, never
-	// read), refreshed exactly from the duals at repair entry and at every
-	// refactorization and updated incrementally (red' = red − γ·α) per pivot
-	// in between. alphaVec accumulates the pivot row α: in sparse mode over
-	// the candidate column set candList (epoch-stamped via candStamp, so no
-	// O(n) clearing between pivots), in dense mode (candDense, chosen by β's
-	// nonzero count alone) over every column after a plain clear.
+	// refactorization) and the maintained dual reduced costs. dualRedVec
+	// holds red_j = c_j − yᵀa_j for every nonbasic column (basic slots hold
+	// don't-care garbage, never read), refreshed exactly from the duals at
+	// repair entry and at every refactorization and updated incrementally
+	// (red' = red − γ·α) per pivot in between.
+	//
+	// Pivot-row scratch shared by priceDual and updateDevex: alphaVec
+	// accumulates the pivot row α, in sparse mode (scatterPivotRow) over the
+	// candidate column set candList (epoch-stamped via candStamp, so no O(n)
+	// clearing between pivots), in priceDual's dense mode (candDense, chosen
+	// by β's nonzero count alone) over every column after a plain clear.
 	dseW       []float64
 	dualRedVec []float64
 	alphaVec   []float64
@@ -447,7 +427,7 @@ type revisedState struct {
 	candDense  bool
 
 	// Row-major mirror of the structural matrix A (row → (column, value)),
-	// built lazily by buildARows for the scatter pricing pass and
+	// built lazily by buildARows for the pivot-row scatter and
 	// invalidated whenever the column structure changes (rebind, structural
 	// deltas). Within a row, columns ascend.
 	aRowPtr, aRowIdx []int32
@@ -469,15 +449,6 @@ type revisedState struct {
 	hyperSeeds    []int32
 	betaSupport   []int32
 	betaSupportOK bool
-
-	// Candidate-list pricing state (configure): dualWindow/primalWindow are
-	// the rotating window widths in columns (0 = full scan); the cursors
-	// track each window's current start, advanced deterministically on
-	// refills so barren stretches rotate out of the hot scan.
-	dualWindow   int
-	primalWindow int
-	dualCursor   int
-	primalCursor int
 
 	timers *PhaseTimers // nil unless the config requests phase profiling
 
@@ -636,19 +607,6 @@ func (st *revisedState) refactorize() error {
 	return nil
 }
 
-// luParallelMinRows and luParallelMinRHS gate the level-scheduled triangular
-// solves: below luParallelMinRows steps the levels are too thin to amortize
-// handing chunks to the pool, and a right-hand side sparser than
-// luParallelMinRHS nonzeros keeps the sequential push solve, whose work is
-// bounded by the (small) reachable set rather than by m — the pull-form
-// level sweep always touches every factor nonzero. Package variables so the
-// invariance tests can force the parallel paths on tiny bases; the solver
-// never mutates them.
-var (
-	luParallelMinRows = 1024
-	luParallelMinRHS  = 192
-)
-
 // defaultHypersparseThreshold is the reach-cap density (fraction of m) when
 // Revised.HypersparseThreshold is zero. Warm-resolve FTRANs and repair-pivot
 // BTRANs on the benchmark bases reach a few dozen steps out of thousands;
@@ -657,11 +615,10 @@ var (
 const defaultHypersparseThreshold = 0.1
 
 // solveB routes d = B⁻¹a: a right-hand side sparse enough to fit the
-// hypersparse reach cap tries the symbolic-reach kernel first, then the
-// level-scheduled parallel kernel when the pool and the problem shape warrant
-// it, else the sequential solve. All paths are bit-identical by construction
-// (see solveBLevel and the hypersparse.go preamble), so crossing either
-// threshold never changes a pivot sequence.
+// hypersparse reach cap tries the symbolic-reach kernel first, else the
+// sequential solve. The two are bit-identical by construction (see the
+// hypersparse.go preamble), so crossing the threshold never changes a pivot
+// sequence.
 func (st *revisedState) solveB(rows []int32, vals []float64, out []float64) {
 	if len(rows) <= st.hyperCap {
 		if st.lu.solveBHyper(&st.hyper, rows, vals, out, st.work, st.hyperCap) {
@@ -669,22 +626,7 @@ func (st *revisedState) solveB(rows []int32, vals []float64, out []float64) {
 			return
 		}
 	}
-	if st.workers > 1 && st.m >= luParallelMinRows && len(rows) >= luParallelMinRHS {
-		st.lu.solveBLevel(rows, vals, out, st.work, st.workers)
-	} else {
-		st.lu.solveB(rows, vals, out, st.work)
-	}
-}
-
-// solveBT routes Bᵀy = c like solveB. No RHS-sparsity gate: the transposed
-// sequential solve already sweeps all m steps, so the level version does the
-// same work in parallel.
-func (st *revisedState) solveBT(c, out []float64) {
-	if st.workers > 1 && st.m >= luParallelMinRows {
-		st.lu.solveBTLevel(c, out, st.work, st.workers)
-	} else {
-		st.lu.solveBT(c, out, st.work)
-	}
+	st.lu.solveB(rows, vals, out, st.work)
 }
 
 // recomputeXB refreshes x_B = B⁻¹b and c_B through the existing
@@ -741,7 +683,7 @@ func (st *revisedState) btran() {
 	z := st.d // reuse as scratch; overwritten by the next ftran
 	copy(z, st.cB)
 	st.applyEtasT(z)
-	st.solveBT(z, st.y)
+	st.lu.solveBT(z, st.y, st.work)
 	st.timers.add(phBtran, t0)
 }
 
@@ -775,7 +717,7 @@ func (st *revisedState) btranUnit(r int) {
 			return
 		}
 	}
-	st.solveBT(z, st.beta)
+	st.lu.solveBT(z, st.beta, st.work)
 	for i := range z {
 		z[i] = 0
 	}
@@ -841,7 +783,6 @@ func (st *revisedState) reducedCost(q int) float64 {
 // preserving the pricing memory of the previous optimum.
 func (st *revisedState) initDevex(warm bool) {
 	total := st.n + st.m
-	st.primalCursor = 0
 	st.rvec = resizeF(st.rvec, total)
 	if !warm || len(st.weights) != total {
 		st.weights = resizeF(st.weights, total)
@@ -890,21 +831,9 @@ func (st *revisedState) priceDevex() int {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
 	total := st.n + st.m
-	if st.primalWindow > 0 && st.primalWindow < total {
-		return st.priceDevexWindow(total)
-	}
 	// Solve already forces workers to 1 below the parallel threshold.
 	if st.workers <= 1 {
-		best := -1
-		bestScore := 0.0
-		for j, r := range st.rvec {
-			if r <= reducedTol {
-				continue
-			}
-			if score := r * r / st.weights[j]; score > bestScore {
-				best, bestScore = j, score
-			}
-		}
+		best, _ := devexArgmax(st.rvec, st.weights, 0, total)
 		return best
 	}
 	nChunks := st.workers * 4
@@ -924,18 +853,7 @@ func (st *revisedState) priceDevex() int {
 		if hi > total {
 			hi = total
 		}
-		best := -1
-		bestScore := 0.0
-		for j := lo; j < hi; j++ {
-			r := st.rvec[j]
-			if r <= reducedTol {
-				continue
-			}
-			if score := r * r / st.weights[j]; score > bestScore {
-				best, bestScore = j, score
-			}
-		}
-		chunkBest[c], chunkScore[c] = best, bestScore
+		chunkBest[c], chunkScore[c] = devexArgmax(st.rvec, st.weights, lo, hi)
 	})
 	best := -1
 	bestScore := 0.0
@@ -947,64 +865,130 @@ func (st *revisedState) priceDevex() int {
 	return best
 }
 
-// priceDevexWindow is the Devex scan over a rotating candidate window
-// (PricingCandidates > 0): the stored reduced costs are maintained for every
-// column by updateDevex, so restricting the argmax to st.primalWindow
-// consecutive columns starting at st.primalCursor stays exact with respect
-// to them — a narrower window trades scan time for possibly more pivots,
-// never for wrong ones. A window with no improving column extends one window
-// at a time (each a candidate refill) until a candidate appears or the whole
-// range certifies apparent optimality (-1, after which the pivot loop's
-// exact refresh re-checks as usual). Sequential and cursor-deterministic
-// like priceDualWindow.
-func (st *revisedState) priceDevexWindow(total int) int {
-	start := st.primalCursor
-	if start >= total {
-		start = 0
-	}
-	scanned := 0
-	chunkStart := start
-	for scanned < total {
-		n := st.primalWindow
-		if scanned+n > total {
-			n = total - scanned
+// devexSkip scales the running best Devex score into the bound of the
+// division-free pre-filter in devexArgmax: 1 − 4·2⁻⁵³, exactly
+// representable.
+const devexSkip = 1 - 0x1p-51
+
+// devexArgmax returns the first strict maximum of r_j²/w_j over the columns
+// j in [lo, hi) with r_j > reducedTol, and its score (-1 and 0 when no
+// column qualifies) — bit-for-bit the plain scan that divides for every
+// column, minus most of the divisions.
+//
+// A column is skipped without dividing when fl(r²) < fl(bound·w), where
+// bound = fl(best·devexSkip) and best is the running maximum. With u = 2⁻⁵³
+// and every rounding relative (bound ≥ 2⁻¹⁰⁰⁰ keeps bound and bound·w away
+// from the subnormals; r > reducedTol keeps r² normal; an overflowing
+// bound·w only strengthens the inequality), the skip implies
+// r²/w < best·(1−4u)(1+u)² < best, so by monotonicity of rounding the
+// skipped column's computed score fl(r²/w) ≤ best: it could not have won
+// the strict comparison, now or later (best only grows). Every column that
+// passes the filter is scored by the same fl(fl(r²)/w) as before, so ties,
+// the reducedTol boundary, unit and huge weights all resolve identically.
+func devexArgmax(rvec, weights []float64, lo, hi int) (int, float64) {
+	best := -1
+	bestScore, bound := 0.0, 0.0
+	rv := rvec[lo:hi]
+	wt := weights[lo:hi]
+	wt = wt[:len(rv)]
+	for i, r := range rv {
+		if r <= reducedTol {
+			continue
 		}
-		best := -1
-		bestScore := 0.0
-		for k := 0; k < n; k++ {
-			j := chunkStart + k
-			if j >= total {
-				j -= total
-			}
-			r := st.rvec[j]
-			if r <= reducedTol {
-				continue
-			}
-			if score := r * r / st.weights[j]; score > bestScore {
-				best, bestScore = j, score
-			}
+		r2 := r * r
+		w := wt[i]
+		if r2 < bound*w {
+			continue
 		}
-		scanned += n
-		if best >= 0 {
-			st.primalCursor = chunkStart
-			return best
-		}
-		st.timers.candidateRefill()
-		chunkStart += n
-		if chunkStart >= total {
-			chunkStart -= total
+		if score := r2 / w; score > bestScore {
+			best, bestScore = lo+i, score
+			if score >= 0x1p-1000 {
+				bound = score * devexSkip
+			}
 		}
 	}
-	return -1
+	return best, bestScore
+}
+
+// pivotRowSparseFactor is the density cutoff of the pivot-row kernel
+// (scatterPivotRow): β takes the sparse row-scatter path when
+// nnz(β)·pivotRowSparseFactor ≤ m, else the caller's dense pass. Past ~1/8
+// density the epoch-stamp bookkeeping costs more than sweeping the full
+// column range with purely sequential accesses. A package variable so the
+// invariance tests can force either path (0: always sparse; a huge factor:
+// always dense); the solver never mutates it.
+var pivotRowSparseFactor = 8
+
+// scatterPivotRow is the sparse half of the pivot-row kernel shared by
+// priceDual and updateDevex: when st.beta is sparse enough it computes
+// α_j = βᵀ[A I]_j for exactly the columns β's row support touches and
+// returns true, with α in st.alphaVec over the candidate list st.candList;
+// otherwise it returns false without touching the scratch and the caller
+// runs its dense pass.
+//
+// The scatter walks the row-major mirror of A — for each row r with β_r ≠ 0
+// (ascending), α_j += β_r·A[r,j] over the row — so its cost is proportional
+// to the nonzeros of β's rows rather than to all of A, and columns the pivot
+// row cannot touch are never visited. Every column's α is accumulated from
+// zero over its rows in ascending order, skipping β_r = 0 terms (which add
+// only signed zeros to a column dot product). It therefore reproduces the
+// column dot product Σ_k β[rows_k]·vals_k bit for bit exactly when every
+// column's row indices strictly ascend — the shape the benchmark LP builds
+// (TestBuildBenchmarkLPShape) — so the density dispatch never moves a pivot.
+// A slack's α is its row's β entry itself. The candidate list is
+// epoch-stamped, so the scratch needs no O(n) clearing between pivots. β is
+// bit-identical whichever triangular kernel produced it, so the mode cannot
+// depend on the hypersparse threshold or the worker count.
+func (st *revisedState) scatterPivotRow() bool {
+	beta := st.beta
+	bnnz := 0
+	for _, v := range beta {
+		if v != 0 {
+			bnnz++
+		}
+	}
+	if bnnz*pivotRowSparseFactor > st.m {
+		return false
+	}
+	st.buildARows()
+	epoch := st.beginCandidates(st.n + st.m)
+	alphaVec, stamp := st.alphaVec, st.candStamp
+	cand := st.candList[:0]
+	for r := 0; r < st.m; r++ {
+		br := beta[r]
+		if br == 0 {
+			continue
+		}
+		for t := st.aRowPtr[r]; t < st.aRowPtr[r+1]; t++ {
+			j := st.aRowIdx[t]
+			if stamp[j] != epoch {
+				stamp[j] = epoch
+				alphaVec[j] = 0
+				cand = append(cand, j)
+			}
+			alphaVec[j] += br * st.aRowVal[t]
+		}
+		sj := int32(st.n + r) // the row's slack: α is β_r itself
+		stamp[sj] = epoch
+		alphaVec[sj] = br
+		cand = append(cand, sj)
+	}
+	st.candList = cand
+	return true
 }
 
 // updateDevex performs the Forrest–Goldfarb update after choosing entering
 // variable q and leaving basic position r: it computes the pivot row
 // α = (B⁻¹)ᵣA, folds it into the stored reduced costs, and grows the
-// reference weights. Must be called before the basis is modified. The
-// per-column pass — the dominant per-pivot cost at paper scale — is chunked
-// over the worker pool; each column's arithmetic is self-contained, so the
-// result is identical for every worker count.
+// reference weights. Must be called before the basis is modified.
+//
+// A sparse β (scatterPivotRow) folds α over its candidate list only; a dense
+// one runs the column pass — one dot product per nonbasic column, chunked
+// over the worker pool. Each column's arithmetic is self-contained and the
+// two modes compute bit-identical α, so the result is identical for every
+// worker count and either side of the density cutoff. Scattering every
+// pivot was measured slower than the column pass on dense rows, hence the
+// dispatch.
 func (st *revisedState) updateDevex(q, r int) {
 	st.btranUnit(r) // times itself as phBtran; the column pass below is phUpdate
 	t0 := tick(st.timers)
@@ -1020,33 +1004,36 @@ func (st *revisedState) updateDevex(q, r int) {
 	if wLeave < 1 {
 		wLeave = 1
 	}
-	beta := st.beta
 	invAlphaQ := 1 / alphaQ
-	colPtr, rowIdx, vals := st.p.ColPtr, st.p.Rows, st.p.Vals
-	par.Ranges(st.workers, st.n+st.m, devexGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
+	if st.scatterPivotRow() {
+		for _, j32 := range st.candList {
+			j := int(j32)
 			if st.posOf[j] >= 0 || j == q {
 				continue
 			}
-			var alpha float64
-			if j < st.n {
-				for k := colPtr[j]; k < colPtr[j+1]; k++ {
-					alpha += beta[rowIdx[k]] * vals[k]
-				}
-			} else {
-				// slack: α_j is just the β entry of the slack's row
-				alpha = beta[j-st.n]
-			}
-			if alpha == 0 {
-				continue
-			}
-			st.rvec[j] -= ratio * alpha
-			t := alpha * invAlphaQ
-			if w := t * t * wq; w > st.weights[j] {
-				st.weights[j] = w
-			}
+			st.devexFold(j, st.alphaVec[j], ratio, invAlphaQ, wq)
 		}
-	})
+	} else {
+		beta := st.beta
+		colPtr, rowIdx, vals := st.p.ColPtr, st.p.Rows, st.p.Vals
+		par.Ranges(st.workers, st.n+st.m, devexGrain, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				if st.posOf[j] >= 0 || j == q {
+					continue
+				}
+				var alpha float64
+				if j < st.n {
+					for k := colPtr[j]; k < colPtr[j+1]; k++ {
+						alpha += beta[rowIdx[k]] * vals[k]
+					}
+				} else {
+					// slack: α_j is just the β entry of the slack's row
+					alpha = beta[j-st.n]
+				}
+				st.devexFold(j, alpha, ratio, invAlphaQ, wq)
+			}
+		})
+	}
 	// entering becomes basic; leaving picks up the textbook post-pivot
 	// reduced cost and weight.
 	st.rvec[q] = 0
@@ -1054,6 +1041,19 @@ func (st *revisedState) updateDevex(q, r int) {
 	leaving := st.basis[r]
 	st.rvec[leaving] = -ratio
 	st.weights[leaving] = wLeave
+}
+
+// devexFold folds nonbasic column j's pivot-row entry α into its stored
+// reduced cost and grows its reference weight.
+func (st *revisedState) devexFold(j int, alpha, ratio, invAlphaQ, wq float64) {
+	if alpha == 0 {
+		return
+	}
+	st.rvec[j] -= ratio * alpha
+	t := alpha * invAlphaQ
+	if w := t * t * wq; w > st.weights[j] {
+		st.weights[j] = w
+	}
 }
 
 // --- Dantzig pricing ------------------------------------------------------
@@ -1130,10 +1130,7 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 		}
 	}
 	st.btran() // exact duals for the incremental y and red updates below
-	if st.usesDualRed() {
-		st.refreshDualRed()
-	}
-	st.dualCursor = 0
+	st.refreshDualRed()
 	stallWindow := st.m / 2
 	if stallWindow < repairStallFloor {
 		stallWindow = repairStallFloor
@@ -1188,9 +1185,7 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 				return pivots, repairSingular
 			}
 			st.btran()
-			if st.usesDualRed() {
-				st.refreshDualRed()
-			}
+			st.refreshDualRed()
 			if dse {
 				for i := range st.dseW {
 					st.dseW[i] = 1
@@ -1269,8 +1264,7 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 		// the pricing pass produced (everything it did not visit has α = 0;
 		// basic slots pick up garbage nobody reads). Exact recompute happens
 		// at the next refactorization, so round-off cannot accumulate past
-		// one eta chain. Windowed pricing maintains nothing — it reprices on
-		// demand.
+		// one eta chain.
 		if gamma != 0 {
 			beta := st.beta
 			for i, v := range beta {
@@ -1278,16 +1272,14 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 					st.y[i] += gamma * v
 				}
 			}
-			if st.usesDualRed() {
-				if st.candDense {
-					red, al := st.dualRedVec, st.alphaVec
-					for j := range red {
-						red[j] -= gamma * al[j]
-					}
-				} else {
-					for _, j32 := range st.candList {
-						st.dualRedVec[j32] -= gamma * st.alphaVec[j32]
-					}
+			if st.candDense {
+				red, al := st.dualRedVec, st.alphaVec
+				for j := range red {
+					red[j] -= gamma * al[j]
+				}
+			} else {
+				for _, j32 := range st.candList {
+					st.dualRedVec[j32] -= gamma * st.alphaVec[j32]
 				}
 			}
 		}
@@ -1296,12 +1288,10 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 		st.basis[r] = q
 		st.posOf[q] = r
 		st.cB[r] = st.objCoef(q)
-		if st.usesDualRed() {
-			// the entering column is basic now (red exactly 0); the leaving
-			// one picks up the textbook post-pivot reduced cost −γ
-			st.dualRedVec[q] = 0
-			st.dualRedVec[leaving] = -gamma
-		}
+		// the entering column is basic now (red exactly 0); the leaving one
+		// picks up the textbook post-pivot reduced cost −γ
+		st.dualRedVec[q] = 0
+		st.dualRedVec[leaving] = -gamma
 		st.pushEta(r)
 		st.timers.repairPivotDone()
 		if mass < bestMass*(1-1e-6) {
@@ -1315,9 +1305,7 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 				return pivots, repairSingular
 			}
 			st.btran() // fresh exact duals for the next incremental stretch
-			if st.usesDualRed() {
-				st.refreshDualRed()
-			}
+			st.refreshDualRed()
 			if dse {
 				// fresh reference framework: the norms tracked the old
 				// product-form basis representation (keeping the learned
@@ -1337,20 +1325,16 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 // tolerance band broken toward the steepest α.
 //
 // The pass exploits that only columns intersecting β's row support can have
-// α_j ≠ 0: it scatters α through the row-major mirror of A — for each row r
-// with β_r ≠ 0 (ascending), α_j += β_r·A[r,j] over the row — instead of a
-// dot product per column, so its cost is proportional to the nonzeros of
-// β's rows rather than to all of A, and columns the pivot row cannot touch
-// are never visited at all. Reduced costs come from the maintained
-// st.dualRedVec (exact-refreshed at repair entry and every refactorization,
-// updated per pivot from the same α values this pass produces), which
-// eliminates the second dot product per column the fused scan used to pay
-// (measured: computing them on demand per candidate was ~40% slower — the
-// short column dots chase pointers, the maintained read streams). The
-// candidate list is epoch-stamped, so the scratch needs no O(n) clearing
-// between pivots; when β is dense the whole pass switches to sequential
-// full-range sweeps instead (priceDualDense). The pass is sequential —
-// worker-count invariance is structural — and β is bit-identical whichever
+// α_j ≠ 0: a sparse β goes through the pivot-row kernel scatterPivotRow,
+// which visits only the candidate columns β's rows touch; when β is dense the
+// whole pass switches to sequential full-range sweeps instead
+// (priceDualDense). Reduced costs come from the maintained st.dualRedVec
+// (exact-refreshed at repair entry and every refactorization, updated per
+// pivot from the same α values this pass produces), which eliminates the
+// second dot product per column the fused scan used to pay (measured:
+// computing them on demand per candidate was ~40% slower — the short column
+// dots chase pointers, the maintained read streams). The pass is sequential
+// — worker-count invariance is structural — and β is bit-identical whichever
 // triangular kernel produced it, so the hypersparse threshold cannot move a
 // pivot.
 //
@@ -1375,54 +1359,15 @@ func (st *revisedState) dualRepair(budget, refactorEvery int, dse bool) (int, du
 func (st *revisedState) priceDual() int {
 	t0 := tick(st.timers)
 	defer st.timers.add(phPricing, t0)
-	total := st.n + st.m
-	if st.dualWindow > 0 && st.dualWindow < total {
-		return st.priceDualWindow(total)
-	}
-	st.buildARows()
-	beta := st.beta
-	bnnz := 0
-	for _, v := range beta {
-		if v != 0 {
-			bnnz++
-		}
-	}
-	// Mode pick: past ~1/8 density the epoch-stamp bookkeeping costs more
-	// than clearing and sweeping the full column range with purely
-	// sequential accesses. β is bit-identical whichever triangular kernel
-	// produced it, so the mode — like everything downstream of it — cannot
-	// depend on the hypersparse threshold or the worker count.
-	if bnnz*8 > st.m {
-		return st.priceDualDense(total)
+	if !st.scatterPivotRow() {
+		return st.priceDualDense(st.n + st.m)
 	}
 	st.candDense = false
-	epoch := st.beginCandidates(total)
-	alphaVec, stamp := st.alphaVec, st.candStamp
-	cand := st.candList[:0]
-	for r := 0; r < st.m; r++ {
-		br := beta[r]
-		if br == 0 {
-			continue
-		}
-		for t := st.aRowPtr[r]; t < st.aRowPtr[r+1]; t++ {
-			j := st.aRowIdx[t]
-			if stamp[j] != epoch {
-				stamp[j] = epoch
-				alphaVec[j] = 0
-				cand = append(cand, j)
-			}
-			alphaVec[j] += br * st.aRowVal[t]
-		}
-		sj := int32(st.n + r) // the row's slack: α is β_r itself
-		stamp[sj] = epoch
-		alphaVec[sj] = br
-		cand = append(cand, sj)
-	}
-	st.candList = cand
+	alphaVec := st.alphaVec
 	q, relax := -1, -1
 	var bestRatio, bestAlpha, bestRed float64
 	var relaxAlpha, relaxRed float64
-	for _, j32 := range cand {
+	for _, j32 := range st.candList {
 		j := int(j32)
 		if st.posOf[j] >= 0 {
 			continue
@@ -1468,6 +1413,7 @@ func (st *revisedState) priceDual() int {
 // start as the stamped pass, so the two modes produce bit-identical α — the
 // mode flips per pivot on β's density without ever moving a result.
 func (st *revisedState) priceDualDense(total int) int {
+	st.buildARows()
 	st.beginCandidates(total) // sizing only; the epoch goes unused
 	st.candDense = true
 	alphaVec := st.alphaVec
@@ -1584,14 +1530,6 @@ func (st *revisedState) buildARows() {
 	st.aRowsOK = true
 }
 
-// usesDualRed reports whether the dual pricing passes read the maintained
-// st.dualRedVec: full-coverage pricing (scatter or dense) does, the rotating
-// window computes reduced costs on demand instead — so windowed repairs skip
-// the O(n) exact refreshes entirely.
-func (st *revisedState) usesDualRed() bool {
-	return st.dualWindow == 0 || st.dualWindow >= st.n+st.m
-}
-
 // refreshDualRed recomputes the maintained dual reduced costs exactly from
 // the current duals: red_j = c_j − yᵀa_j for nonbasic columns (basic slots
 // are left as-is — they are never read, and the incremental updates scribble
@@ -1608,99 +1546,6 @@ func (st *revisedState) refreshDualRed() {
 		}
 	}
 	st.timers.add(phPricing, t0)
-}
-
-// priceDualWindow is priceDual over a rotating candidate window: the same
-// fused two-tier scan, restricted to st.dualWindow consecutive columns
-// starting at st.dualCursor. A window that yields a feasible-tier candidate
-// answers the ratio test from those columns alone — the primal finish after
-// repair restores whatever optimality the narrower view gave up, and any
-// out-of-window column whose reduced cost the shortened dual step turns
-// negative simply becomes a ratio-0 candidate when its window comes around.
-// On exhaustion (no feasible candidate in the window) the scan extends one
-// window at a time — each extension counted as a candidate refill — until a
-// candidate appears or the whole range has been covered, which is exactly
-// the full scan and certifies the relaxed-tier fallback the same way. The
-// cursor parks on the window that produced the winner, so productive
-// stretches stay hot and barren ones rotate out. Purely sequential, hence
-// trivially worker-count invariant; the cursor walk is a deterministic
-// function of the scan results.
-//
-// Like the scatter pass, the window computes each scanned column's α against
-// β directly and its reduced cost on demand against the maintained duals, so
-// every quantity it prices with is exact — narrowing the window trades pivot
-// quality (a shortened dual step), never pricing accuracy.
-func (st *revisedState) priceDualWindow(total int) int {
-	beta := st.beta
-	start := st.dualCursor
-	if start >= total {
-		start = 0
-	}
-	q, relax := -1, -1
-	var bestRatio, bestAlpha, bestRed float64
-	var relaxAlpha, relaxRed float64
-	scanned := 0
-	chunkStart := start
-	for scanned < total {
-		n := st.dualWindow
-		if scanned+n > total {
-			n = total - scanned
-		}
-		for k := 0; k < n; k++ {
-			j := chunkStart + k
-			if j >= total {
-				j -= total
-			}
-			if st.posOf[j] >= 0 {
-				continue
-			}
-			var alpha float64
-			if j < st.n {
-				for t := st.p.ColPtr[j]; t < st.p.ColPtr[j+1]; t++ {
-					alpha += beta[st.p.Rows[t]] * st.p.Vals[t]
-				}
-			} else {
-				alpha = beta[j-st.n]
-			}
-			if alpha >= -pivotTol {
-				continue
-			}
-			red := st.reducedCost(j)
-			if red > reducedTol {
-				if relax < 0 || alpha < relaxAlpha {
-					relax, relaxAlpha, relaxRed = j, alpha, red
-				}
-				continue
-			}
-			rc := red
-			if rc > 0 {
-				rc = 0 // boundary stragglers within tolerance: ratio 0
-			}
-			ratio := rc / alpha // ≥ 0
-			if q < 0 || ratio < bestRatio-pivotTol ||
-				(ratio <= bestRatio+pivotTol && alpha < bestAlpha) {
-				q, bestRatio, bestAlpha, bestRed = j, ratio, alpha, red
-			}
-		}
-		scanned += n
-		if q >= 0 {
-			st.dualCursor = chunkStart
-			st.dualGamma = bestRed / bestAlpha
-			return q
-		}
-		st.timers.candidateRefill()
-		chunkStart += n
-		if chunkStart >= total {
-			chunkStart -= total
-		}
-	}
-	if relax >= 0 {
-		// Full circle with no feasible-tier candidate: same certificate as
-		// the full scan's relaxed fallback.
-		st.dualGamma = relaxRed / relaxAlpha
-		return relax
-	}
-	return -1
 }
 
 // pricePartial scans a window of variables starting at cursor and returns

@@ -91,46 +91,6 @@ func TestRangesAtCoversWindowOnce(t *testing.T) {
 	RangesAt(4, 9, 3, 1, func(lo, hi int) { t.Error("inverted window must not run") })
 }
 
-func TestForLevelsRespectsLevelBarriers(t *testing.T) {
-	// Positions in level l read everything level l−1 wrote: if levels ever
-	// overlapped, some position would read a stale zero (and the race
-	// detector would flag the unsynchronized read). Expected values form a
-	// per-level recurrence, so both coverage and ordering are pinned.
-	ptr := []int32{0, 4, 5, 12, 20}
-	n := int(ptr[len(ptr)-1])
-	levelOf := make([]int, n)
-	for l := 0; l+1 < len(ptr); l++ {
-		for i := ptr[l]; i < ptr[l+1]; i++ {
-			levelOf[i] = l
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		out := make([]int64, n)
-		ForLevels(workers, ptr, 2, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := int64(1)
-				if l := levelOf[i]; l > 0 {
-					for j := ptr[l-1]; j < ptr[l]; j++ {
-						v += out[j]
-					}
-				}
-				out[i] = v
-			}
-		})
-		wantAt := make([]int64, len(ptr)-1)
-		wantAt[0] = 1
-		for l := 1; l < len(wantAt); l++ {
-			wantAt[l] = 1 + int64(ptr[l]-ptr[l-1])*wantAt[l-1]
-		}
-		for i, v := range out {
-			if v != wantAt[levelOf[i]] {
-				t.Fatalf("workers=%d: position %d = %d, want %d (level %d)",
-					workers, i, v, wantAt[levelOf[i]], levelOf[i])
-			}
-		}
-	}
-}
-
 func TestDeterministicResultAcrossWorkerCounts(t *testing.T) {
 	// iteration-owned writes: identical output for every worker count.
 	const n = 5000
