@@ -291,7 +291,7 @@ func BenchmarkShardedOnline(b *testing.B) {
 	}
 	b.Run("shards=1", run(1, igepa.LeaseDemand))
 	for _, s := range []int{2, 4, 8} {
-		for _, lease := range []igepa.LeasePolicy{igepa.LeaseDemand, igepa.LeaseEven, igepa.LeaseLP} {
+		for _, lease := range []igepa.LeasePolicy{igepa.LeaseDemand, igepa.LeaseLP} {
 			b.Run(fmt.Sprintf("shards=%d/lease=%v", s, lease), run(s, lease))
 		}
 	}

@@ -167,7 +167,8 @@ func run(w io.Writer, cfg config) error {
 }
 
 // scrapeFamilies fetches and parses the /metrics exposition, indexed by
-// family name. Returns nil on any failure (old build, -DisableMetrics).
+// family name. Returns nil on any failure (unreachable, or a build without
+// /metrics).
 func scrapeFamilies(hc *http.Client, addr string) map[string]*obs.Family {
 	resp, err := hc.Get(addr + "/metrics")
 	if err != nil {
@@ -214,7 +215,7 @@ func sumFamily(byName map[string]*obs.Family, name string, match func(s *obs.Sam
 // warm-path health. Monotonic counters are reported as deltas against the
 // pre-run snapshot (falling back to absolute totals when that scrape
 // failed); gauges and histogram quantiles are point-in-time. Best-effort — a
-// server without /metrics (old build, -DisableMetrics) just skips it.
+// server without /metrics (an old build) just skips it.
 func metricsSummary(w io.Writer, hc *http.Client, addr string, before map[string]*obs.Family) {
 	byName := scrapeFamilies(hc, addr)
 	if byName == nil {

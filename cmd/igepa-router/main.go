@@ -62,7 +62,7 @@ func main() {
 	flag.IntVar(&cfg.users, "users", 600, "number of users (0 = workload default)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for instance and user→shard hash (must match the backends)")
 	flag.IntVar(&cfg.batch, "batch", 0, "arrivals between lease renewals (0 = default; must match the backends)")
-	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand, even or lp")
+	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand or lp")
 	flag.BoolVar(&cfg.replay, "replay", false, "deterministic replay dispatcher (batch-by-count, bit-identical to ServeSharded)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "per-backend HTTP call timeout (0 = default)")
 	flag.IntVar(&cfg.retries, "retries", 0, "transport-error retries per backend call (0 = default)")
@@ -101,7 +101,7 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	if err != nil {
 		return err
 	}
-	lease, err := leasePolicy(cfg.lease)
+	lease, err := shard.ParseLeasePolicy(cfg.lease)
 	if err != nil {
 		return err
 	}
@@ -181,18 +181,5 @@ func makeInstance(cfg config) (*igepa.Instance, error) {
 		})
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want meetup or synthetic)", cfg.workload)
-	}
-}
-
-func leasePolicy(name string) (shard.LeasePolicy, error) {
-	switch name {
-	case "", "demand":
-		return shard.LeaseDemand, nil
-	case "even":
-		return shard.LeaseEven, nil
-	case "lp":
-		return shard.LeaseLP, nil
-	default:
-		return 0, fmt.Errorf("unknown lease policy %q (want demand, even or lp)", name)
 	}
 }

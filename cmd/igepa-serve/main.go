@@ -130,7 +130,7 @@ func main() {
 	flag.Float64Var(&cfg.guard, "guard", 0.25, "threshold planner: reserved capacity fraction")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool bound (0 = all cores; results identical)")
 	flag.BoolVar(&cfg.lpBound, "lp", true, "also solve the offline LP bound for comparison")
-	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand, even or lp")
+	flag.StringVar(&cfg.lease, "lease", "demand", "lease renewal policy: demand or lp")
 	flag.StringVar(&cfg.arrivals, "arrivals", "", "replay arrivals from this JSONL log (igepa-datagen -arrivals)")
 	flag.Float64Var(&cfg.rate, "rate", 1000, "synthetic stream: mean arrivals per second")
 	flag.BoolVar(&cfg.liveBound, "live-bound", false, "track the incremental LP bound across batches (warm re-solves)")
@@ -209,11 +209,11 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	if err != nil {
 		return err
 	}
-	kind, err := plannerKind(cfg.planner)
+	kind, err := shard.ParsePlannerKind(cfg.planner)
 	if err != nil {
 		return err
 	}
-	lease, err := leasePolicy(cfg.lease)
+	lease, err := shard.ParseLeasePolicy(cfg.lease)
 	if err != nil {
 		return err
 	}
@@ -324,11 +324,11 @@ func run(w *os.File, cfg config) error {
 	if err != nil {
 		return err
 	}
-	kind, err := plannerKind(cfg.planner)
+	kind, err := shard.ParsePlannerKind(cfg.planner)
 	if err != nil {
 		return err
 	}
-	lease, err := leasePolicy(cfg.lease)
+	lease, err := shard.ParseLeasePolicy(cfg.lease)
 	if err != nil {
 		return err
 	}
@@ -455,9 +455,9 @@ func pacedReplay(w *os.File, in *igepa.Instance, stream []workload.Arrival, cfg 
 }
 
 // servePaced drives the shard engine over the stream with Serve's exact
-// batch schedule, but dispatches each batch only once its last arrival's
-// scaled timestamp has elapsed. qdelay[i] is arrival i's queueing delay:
-// dispatch time minus (scaled) arrival time.
+// batch schedule (Engine.ReplayBatch), but starts each batch only once its
+// last arrival's scaled timestamp has elapsed. qdelay[i] is arrival i's
+// queueing delay: batch start time minus (scaled) arrival time.
 func servePaced(in *igepa.Instance, stream []workload.Arrival, opt shard.Options, pace float64) (*shard.Result, []time.Duration, error) {
 	order := workload.ArrivalOrder(stream)
 	e, err := shard.NewEngine(in, opt)
@@ -485,11 +485,8 @@ func servePaced(in *igepa.Instance, stream []workload.Arrival, opt shard.Options
 				qdelay[i] = d
 			}
 		}
-		e.DispatchBatch(order[s0:end])
-		if end < len(order) && e.Shards() > 1 {
-			if _, err := e.RenewLeases(order[end:min(end+b, len(order))]); err != nil {
-				return nil, nil, err
-			}
+		if err := e.ReplayBatch(order[s0:end]); err != nil {
+			return nil, nil, err
 		}
 	}
 	res, err := e.Result()
@@ -630,29 +627,5 @@ func makeInstance(cfg config) (*igepa.Instance, error) {
 		})
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want meetup or synthetic)", cfg.workload)
-	}
-}
-
-func plannerKind(name string) (shard.PlannerKind, error) {
-	switch name {
-	case "greedy":
-		return shard.PlannerGreedy, nil
-	case "threshold":
-		return shard.PlannerThreshold, nil
-	default:
-		return 0, fmt.Errorf("unknown planner %q (want greedy or threshold)", name)
-	}
-}
-
-func leasePolicy(name string) (shard.LeasePolicy, error) {
-	switch name {
-	case "", "demand":
-		return shard.LeaseDemand, nil
-	case "even":
-		return shard.LeaseEven, nil
-	case "lp":
-		return shard.LeaseLP, nil
-	default:
-		return 0, fmt.Errorf("unknown lease policy %q (want demand, even or lp)", name)
 	}
 }

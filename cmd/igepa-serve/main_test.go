@@ -45,7 +45,7 @@ func TestRunSmoke(t *testing.T) {
 
 func TestRunLeasePoliciesAndLiveBound(t *testing.T) {
 	null := devNull(t)
-	for _, lease := range []string{"demand", "even", "lp"} {
+	for _, lease := range []string{"demand", "lp"} {
 		cfg := config{
 			workload: "synthetic", events: 15, users: 90, seed: 2,
 			shards: []int{2, 4}, planner: "greedy", lease: lease, batch: 16,

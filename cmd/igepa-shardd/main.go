@@ -118,7 +118,7 @@ func serveListenerCtx(ctx context.Context, w *os.File, ln net.Listener, cfg conf
 	if err != nil {
 		return err
 	}
-	kind, err := plannerKind(cfg.planner)
+	kind, err := shard.ParsePlannerKind(cfg.planner)
 	if err != nil {
 		return err
 	}
@@ -210,16 +210,5 @@ func makeInstance(cfg config) (*igepa.Instance, error) {
 		})
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want meetup or synthetic)", cfg.workload)
-	}
-}
-
-func plannerKind(name string) (shard.PlannerKind, error) {
-	switch name {
-	case "greedy":
-		return shard.PlannerGreedy, nil
-	case "threshold":
-		return shard.PlannerThreshold, nil
-	default:
-		return 0, fmt.Errorf("unknown planner %q (want greedy or threshold)", name)
 	}
 }

@@ -218,11 +218,10 @@ const (
 	ShardPlannerThreshold = shard.PlannerThreshold
 )
 
-// Lease-renewal policies: demand-aware proportional split (default), even
-// split (ablation), and the warm-started LP split.
+// Lease-renewal policies: demand-aware proportional split (default) and the
+// warm-started LP split.
 const (
 	LeaseDemand = shard.LeaseDemand
-	LeaseEven   = shard.LeaseEven
 	LeaseLP     = shard.LeaseLP
 )
 

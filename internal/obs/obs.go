@@ -126,9 +126,9 @@ func (f *family) sampleFor(labels []Label) (*sample, bool) {
 // still be monotonic; Store never moves the value backwards.
 type Counter struct{ v atomic.Int64 }
 
-func (c *Counter) Inc()        { c.v.Add(1) }
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-func (c *Counter) Load() int64 { return c.v.Load() }
+func (c *Counter) Inc()              { c.v.Add(1) }
+func (c *Counter) Add(n int64) int64 { return c.v.Add(n) } // returns the new total
+func (c *Counter) Load() int64       { return c.v.Load() }
 func (c *Counter) Store(n int64) {
 	for {
 		cur := c.v.Load()
@@ -185,6 +185,36 @@ func (h *Histogram) Count() uint64 {
 		n += h.counts[i].Load()
 	}
 	return n
+}
+
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of everything observed so
+// far: it finds the bucket holding the q·count-th observation and
+// interpolates linearly between that bucket's bounds (the first bucket's
+// lower bound is 0). This is the estimator Prometheus' histogram_quantile
+// applies to the exposition, so a /statsz percentile and a dashboard
+// quantile over the same series agree; its error is bounded by the bucket
+// width (≤ 2× for LatencyBuckets). Observations past the last bound report
+// that bound. Returns 0 for an empty histogram.
+func (h *Histogram) Quantile(q float64) float64 {
+	total := h.Count()
+	if total == 0 {
+		return 0
+	}
+	target := q * float64(total)
+	var cum uint64
+	prevLe, prevN := 0.0, 0.0
+	for i, le := range h.bounds {
+		cum += h.counts[i].Load()
+		n := float64(cum)
+		if n >= target {
+			if n == prevN {
+				return prevLe
+			}
+			return prevLe + (le-prevLe)*(target-prevN)/(n-prevN)
+		}
+		prevLe, prevN = le, n
+	}
+	return prevLe
 }
 
 // Counter registers (or returns the existing) counter series.
@@ -256,8 +286,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 // LatencyBuckets is the tree-wide latency layout: 1µs … ~16s, factor 2.
 // 25 buckets keeps /metrics small while the factor-2 spacing bounds the
-// quantile estimation error to 2× — good enough for alerting; exact tails
-// stay on /statsz's reservoir percentiles.
+// quantile estimation error to 2× — good enough for alerting and for the
+// /statsz percentiles, which read the same buckets (Histogram.Quantile).
 func LatencyBuckets() []float64 { return ExpBuckets(1e-6, 2, 25) }
 
 // SizeBuckets is the byte-size layout: 64B … 2GiB, factor 4.

@@ -86,6 +86,35 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantile pins the bucket-interpolating estimator /statsz
+// reads: linear inside the bucket holding the q·count-th observation, 0 as
+// the first bucket's lower bound, the last finite bound for the +Inf tail.
+func TestHistogramQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("test_q_seconds", "Quantile fixture.", []float64{1, 2, 4})
+	if got := h.Quantile(0.5); got != 0 {
+		t.Fatalf("empty histogram quantile = %v, want 0", got)
+	}
+	h.Observe(0.5)
+	h.Observe(0.5)
+	h.Observe(1.5)
+	h.Observe(3)
+	for _, c := range []struct{ q, want float64 }{
+		{0.25, 0.5},  // target 1 of the 2 in (0,1]
+		{0.5, 1},     // target 2: top of the first bucket
+		{0.75, 2},    // target 3: top of (1,2]
+		{0.99, 3.92}, // target 3.96: 96% into (2,4]
+	} {
+		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	h.Observe(100) // +Inf bucket
+	if got := h.Quantile(1); got != 4 {
+		t.Errorf("Quantile(1) with a +Inf observation = %v, want the last bound 4", got)
+	}
+}
+
 func TestRegistrationIdempotent(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x_total", "x")

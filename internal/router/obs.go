@@ -7,10 +7,13 @@ package router
 // merged exposition with a shard label — one scrape target for the whole
 // deployment.
 //
-// The recording disciplines mirror internal/server's (DESIGN.md §12): the
-// proxy hot path records through atomics only; coordinator-owned counters
-// (renewal rounds, moved seats) are mirrored under renewMu at the points
-// that already hold it; everything else refreshes at scrape time.
+// The registry is the router's only counter set: handlers, the replay
+// dispatcher and the proxy path bump its handles directly, and /statsz reads
+// them back. The recording disciplines mirror internal/server's (DESIGN.md
+// §12): the proxy hot path records through atomics only; coordinator-owned
+// counters (renewal rounds, moved seats) are mirrored under renewMu at the
+// points that already hold it; the degraded latch, queue depth and uptime
+// are read at scrape time.
 
 import (
 	"fmt"
@@ -21,10 +24,10 @@ import (
 	"time"
 
 	"github.com/ebsn/igepa/internal/obs"
+	"github.com/ebsn/igepa/internal/shard"
 )
 
 // routerObs bundles the registry and the handles the proxy paths touch.
-// A nil *routerObs (Config.DisableMetrics) makes every method a no-op.
 type routerObs struct {
 	reg *obs.Registry
 
@@ -93,7 +96,7 @@ func newRouterObs(rt *Router) *routerObs {
 		if rt.q == nil {
 			return 0
 		}
-		return float64(rt.q.depth())
+		return float64(rt.q.Depth())
 	})
 	reg.GaugeFunc("igepa_router_up_seconds", "Process uptime.", func() float64 {
 		return time.Since(rt.started).Seconds()
@@ -104,11 +107,8 @@ func newRouterObs(rt *Router) *routerObs {
 // observeBackend is the proxy hot path: one histogram observation and a
 // counter bump per round trip. d == 0 means no response arrived (transport
 // failure); failed additionally counts transport errors and 5xx answers.
-// Nil-safe and allocation-free.
+// Allocation-free.
 func (o *routerObs) observeBackend(si int, d time.Duration, failed bool) {
-	if o == nil || si < 0 || si >= len(o.beReqs) {
-		return
-	}
 	if d > 0 {
 		o.beReqs[si].Inc()
 		o.beLat[si].ObserveDuration(d)
@@ -118,55 +118,11 @@ func (o *routerObs) observeBackend(si int, d time.Duration, failed bool) {
 	}
 }
 
-// notePhase counts a completed migration phase.
-func (o *routerObs) notePhase(ph string) {
-	if o == nil {
-		return
-	}
-	if c := o.migratePhases[ph]; c != nil {
-		c.Inc()
-	}
-}
-
-// noteMigration records a committed migration's size.
-func (o *routerObs) noteMigration(users, seats int) {
-	if o == nil {
-		return
-	}
-	o.migratedUsers.Add(int64(users))
-	o.migratedSeats.Add(int64(seats))
-}
-
-// observeRenew records one completed renewal round's wall time.
-func (o *routerObs) observeRenew(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.renewDur.ObserveDuration(d)
-}
-
 // mirrorCoord stores the coordinator-owned cumulative counters; the caller
 // holds renewMu (renewal rounds and migrations both do).
-func (o *routerObs) mirrorCoord(renewals, moved int) {
-	if o == nil {
-		return
-	}
-	o.renewRounds.Store(int64(renewals))
-	o.movedSeats.Store(int64(moved))
-}
-
-// refresh mirrors the atomic counter set at scrape time.
-func (o *routerObs) refresh(rt *Router) {
-	o.arrivals.Store(rt.m.arrivals.Load())
-	o.decided.Store(rt.m.decided.Load())
-	o.granted.Store(rt.m.granted.Load())
-	o.cancels.Store(rt.m.cancels.Load())
-	o.errs400.Store(rt.m.badRequests.Load())
-	o.errs409.Store(rt.m.conflicts.Load())
-	o.errs421.Store(rt.m.misrouted.Load())
-	o.errs429.Store(rt.m.rejected.Load())
-	o.renewAborts.Store(rt.m.renewErrors.Load())
-	o.epochs.Store(rt.m.epochs.Load())
+func (o *routerObs) mirrorCoord(c *shard.Coordinator) {
+	o.renewRounds.Store(int64(c.Renewals()))
+	o.movedSeats.Store(int64(c.MovedSeats()))
 }
 
 // handleMetrics is GET /metrics: the router's own registry.
@@ -175,7 +131,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	rt.obs.refresh(rt)
 	w.Header().Set("Content-Type", obs.ContentType)
 	rt.obs.reg.WritePrometheus(w)
 }

@@ -26,6 +26,25 @@ import (
 // could later over-commit an event; the router latches degraded and stops
 // accepting writes.
 
+// spawnRenew starts a live-mode renewal round on its own goroutine, so the
+// bid that crossed the trigger answers without waiting for it. The round is
+// tracked: Close waits for it before releasing the coordinator, and Drain
+// waits for it before reporting quiescence. After Close, nothing spawns.
+func (rt *Router) spawnRenew() {
+	rt.lifeMu.Lock()
+	defer rt.lifeMu.Unlock()
+	if rt.closed.Load() {
+		return
+	}
+	rt.wg.Add(1)
+	rt.renewing.Add(1)
+	go func() {
+		defer rt.wg.Done()
+		defer rt.renewing.Add(-1)
+		rt.tryRenew()
+	}()
+}
+
 // tryRenew runs one renewal round if none is in flight — the live-mode
 // trigger, fired every ~Batch accepted arrivals. Aborted rounds (a backend
 // briefly unreachable during prepare) are counted and retried on the next
@@ -40,15 +59,15 @@ func (rt *Router) tryRenew() {
 		return
 	}
 	if err := rt.renewOnce(nil); err != nil {
-		rt.m.renewErrors.Add(1)
+		rt.obs.renewAborts.Inc()
 	}
 }
 
 // finishRenew records a completed round's wall time and mirrors the
 // coordinator counters; the caller holds renewMu.
 func (rt *Router) finishRenew(start time.Time) {
-	rt.obs.observeRenew(time.Since(start))
-	rt.obs.mirrorCoord(rt.coord.Renewals(), rt.coord.MovedSeats())
+	rt.obs.renewDur.ObserveDuration(time.Since(start))
+	rt.obs.mirrorCoord(rt.coord)
 }
 
 // renewOnce executes one two-phase renewal round. next is the demand

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ebsn/igepa/internal/batchq"
 	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/server"
 	"github.com/ebsn/igepa/internal/shard"
@@ -75,9 +76,6 @@ type Config struct {
 	QueueDepth int
 	// RetryAfter is the backpressure hint on 429 (0 = 1s).
 	RetryAfter time.Duration
-	// DisableMetrics turns off the obs registry and the /metrics and
-	// /cluster/metrics endpoints (benchmark baseline only).
-	DisableMetrics bool
 }
 
 // user lifecycle states (replay mode's router-side duplicate detection,
@@ -94,19 +92,6 @@ const (
 type backend struct {
 	base   string
 	client *http.Client
-}
-
-type metrics struct {
-	arrivals    atomic.Int64
-	decided     atomic.Int64
-	granted     atomic.Int64
-	cancels     atomic.Int64
-	rejected    atomic.Int64
-	conflicts   atomic.Int64
-	badRequests atomic.Int64
-	misrouted   atomic.Int64 // 421s seen from backends (stale routing races)
-	renewErrors atomic.Int64 // aborted renewal rounds (safe: retried)
-	epochs      atomic.Int64 // replay batches dispatched
 }
 
 // Router is the front-tier process. Construct with New, verify the cluster
@@ -126,9 +111,11 @@ type Router struct {
 
 	// renewMu serializes renewal rounds and migrations — both rewrite the
 	// coordinator's budget table. sinceRenew counts accepted arrivals since
-	// the last round (live mode's trigger).
+	// the last round (live mode's trigger); renewing counts live-mode round
+	// goroutines started but not yet finished (Drain waits them out).
 	renewMu    sync.Mutex
 	sinceRenew atomic.Int64
+	renewing   atomic.Int64
 
 	// degraded is the fail-stop latch: once the coordinator's budget view
 	// and the backends' can no longer be proven equal (a failed install or
@@ -139,18 +126,20 @@ type Router struct {
 
 	// replay mode: the global arrival queue, its dispatcher, and the
 	// router-side user lifecycle (duplicate detection without a round-trip).
-	q       *rqueue
-	wg      sync.WaitGroup
+	q       *batchq.Queue
 	stateMu sync.Mutex
 	state   []uint8
 
+	// wg tracks every goroutine Close must outlive: the replay dispatcher
+	// and live-mode renewal rounds. lifeMu orders spawning a round against
+	// Close, so no wg.Add can race Close's Wait.
+	wg      sync.WaitGroup
+	lifeMu  sync.Mutex
 	closed  atomic.Bool
 	started time.Time
-	m       metrics
 
-	// obs is the Prometheus-exposition registry behind /metrics and the
-	// /cluster/metrics fan-in (nil under Config.DisableMetrics; every
-	// method is a nil-safe no-op).
+	// obs is the router's one counter set: the registry behind /metrics
+	// (and the /cluster/metrics fan-in), read back by /statsz.
 	obs *routerObs
 }
 
@@ -206,6 +195,7 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 			},
 		})
 	}
+	rt.obs = newRouterObs(rt)
 	if cfg.Replay {
 		depth := cfg.QueueDepth
 		if depth <= 0 {
@@ -214,14 +204,10 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 				depth = 256
 			}
 		}
-		rt.q = newRQueue(depth)
+		rt.q = batchq.New(depth)
 		rt.state = make([]uint8, in.NumUsers())
 		rt.wg.Add(1)
 		go rt.dispatchLoop()
-	}
-
-	if !cfg.DisableMetrics {
-		rt.obs = newRouterObs(rt)
 	}
 
 	rt.mux = http.NewServeMux()
@@ -232,10 +218,8 @@ func New(in *model.Instance, cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
 	rt.mux.HandleFunc("/statsz", rt.handleStatsz)
-	if rt.obs != nil {
-		rt.mux.HandleFunc("/metrics", rt.handleMetrics)
-		rt.mux.HandleFunc("/cluster/metrics", rt.handleClusterMetrics)
-	}
+	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
+	rt.mux.HandleFunc("/cluster/metrics", rt.handleClusterMetrics)
 	rt.mux.HandleFunc("/admin/drain", rt.handleDrain)
 	rt.mux.HandleFunc("/admin/migrate", rt.handleMigrate)
 	return rt, nil
@@ -247,19 +231,26 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// Close stops the dispatcher (replay mode), releasing every parked submitter
-// with a shutdown reply, and frees the coordinator. It does not touch the
-// backends — they are separate processes with their own lifecycles.
+// Close stops the dispatcher (replay mode) and waits out any in-flight
+// renewal round, releases every parked submitter with a shutdown reply, and
+// only then frees the coordinator (whose LP solver a round may be using).
+// It does not touch the backends — they are separate processes with their
+// own lifecycles.
 func (rt *Router) Close() {
-	if !rt.closed.CompareAndSwap(false, true) {
+	rt.lifeMu.Lock()
+	already := rt.closed.Swap(true)
+	rt.lifeMu.Unlock()
+	if already {
 		return
 	}
 	if rt.q != nil {
-		rt.q.close()
-		rt.wg.Wait()
-		for _, r := range rt.q.takeAll() {
-			if r.reply != nil {
-				r.reply <- rrep{shutdown: true}
+		rt.q.Close()
+	}
+	rt.wg.Wait()
+	if rt.q != nil {
+		for _, r := range rt.q.TakeAll() {
+			if r.Reply != nil {
+				r.Reply <- batchq.Reply{Shutdown: true}
 			}
 		}
 	}
@@ -500,12 +491,12 @@ func (rt *Router) handleBid(w http.ResponseWriter, r *http.Request) {
 	}
 	var req bidRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.m.badRequests.Add(1)
+		rt.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
 	if req.User < 0 || req.User >= rt.in.NumUsers() {
-		rt.m.badRequests.Add(1)
+		rt.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", req.User, rt.in.NumUsers()))
 		return
 	}
@@ -518,7 +509,7 @@ func (rt *Router) handleBid(w http.ResponseWriter, r *http.Request) {
 	// re-resolve once and retry.
 	status := rt.forward(w, rt.ownerOf(req.User), "/v1/bid", body)
 	if status == http.StatusMisdirectedRequest {
-		rt.m.misrouted.Add(1)
+		rt.obs.errs421.Inc()
 		status = rt.forward(w, rt.ownerOf(req.User), "/v1/bid", body)
 		if status == http.StatusMisdirectedRequest {
 			httpError(w, http.StatusMisdirectedRequest,
@@ -527,9 +518,9 @@ func (rt *Router) handleBid(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if status == http.StatusOK || status == http.StatusAccepted {
-		rt.m.arrivals.Add(1)
+		rt.obs.arrivals.Inc()
 		if rt.sinceRenew.Add(1) >= int64(rt.b) {
-			go rt.tryRenew()
+			rt.spawnRenew()
 		}
 	}
 }
@@ -551,12 +542,12 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		User int `json:"user"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.m.badRequests.Add(1)
+		rt.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
 	if req.User < 0 || req.User >= rt.in.NumUsers() {
-		rt.m.badRequests.Add(1)
+		rt.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", req.User, rt.in.NumUsers()))
 		return
 	}
@@ -567,18 +558,18 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		st := rt.state[req.User]
 		rt.stateMu.Unlock()
 		if st != stateDecided {
-			rt.m.conflicts.Add(1)
+			rt.obs.errs409.Inc()
 			httpError(w, http.StatusConflict, fmt.Sprintf("user %d has no active assignment", req.User))
 			return
 		}
 	}
 	status := rt.forward(w, rt.ownerOf(req.User), "/v1/cancel", body)
 	if status == http.StatusMisdirectedRequest {
-		rt.m.misrouted.Add(1)
+		rt.obs.errs421.Inc()
 		status = rt.forward(w, rt.ownerOf(req.User), "/v1/cancel", body)
 	}
 	if status == http.StatusOK {
-		rt.m.cancels.Add(1)
+		rt.obs.cancels.Inc()
 		if rt.cfg.Replay {
 			rt.stateMu.Lock()
 			rt.state[req.User] = stateCancelled
@@ -599,14 +590,14 @@ func (rt *Router) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	}
 	u, err := strconv.Atoi(q)
 	if err != nil || u < 0 || u >= rt.in.NumUsers() {
-		rt.m.badRequests.Add(1)
+		rt.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, "bad user")
 		return
 	}
 	var resp json.RawMessage
 	status, gerr := rt.getJSON(rt.ownerOf(u), "/v1/assignment?user="+q, &resp)
 	if status == http.StatusMisdirectedRequest {
-		rt.m.misrouted.Add(1)
+		rt.obs.errs421.Inc()
 		status, gerr = rt.getJSON(rt.ownerOf(u), "/v1/assignment?user="+q, &resp)
 	}
 	if gerr != nil {
@@ -703,7 +694,7 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	v, err := strconv.Atoi(q)
 	if err != nil || v < 0 || v >= nv {
-		rt.m.badRequests.Add(1)
+		rt.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, "bad event")
 		return
 	}
@@ -845,21 +836,22 @@ func (rt *Router) Stats() Stats {
 	if rt.cfg.Replay {
 		mode = "replay"
 	}
+	o := rt.obs
 	st := Stats{
 		Mode: mode, Role: "router",
 		UptimeMS:       time.Since(rt.started).Milliseconds(),
 		Shards:         rt.s,
 		Batch:          rt.b,
-		Arrivals:       rt.m.arrivals.Load(),
-		Decided:        rt.m.decided.Load(),
-		Granted:        rt.m.granted.Load(),
-		Cancels:        rt.m.cancels.Load(),
-		Rejected:       rt.m.rejected.Load(),
-		Conflicts:      rt.m.conflicts.Load(),
-		BadRequests:    rt.m.badRequests.Load(),
-		Misrouted:      rt.m.misrouted.Load(),
-		RenewErrors:    rt.m.renewErrors.Load(),
-		Epochs:         rt.m.epochs.Load(),
+		Arrivals:       o.arrivals.Load(),
+		Decided:        o.decided.Load(),
+		Granted:        o.granted.Load(),
+		Cancels:        o.cancels.Load(),
+		Rejected:       o.errs429.Load(),
+		Conflicts:      o.errs409.Load(),
+		BadRequests:    o.errs400.Load(),
+		Misrouted:      o.errs421.Load(),
+		RenewErrors:    o.renewAborts.Load(),
+		Epochs:         o.epochs.Load(),
 		Degraded:       rt.degraded.Load(),
 		DegradedReason: rt.degradedReason(),
 		PerBackend:     make([]BackendStats, rt.s),
@@ -869,7 +861,7 @@ func (rt *Router) Stats() Stats {
 	st.MovedSeats = rt.coord.MovedSeats()
 	rt.renewMu.Unlock()
 	if rt.q != nil {
-		st.QueueDepth = rt.q.depth()
+		st.QueueDepth = rt.q.Depth()
 	}
 	var wg sync.WaitGroup
 	for si := 0; si < rt.s; si++ {
@@ -928,21 +920,20 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Drained bool  `json:"drained"`
 		Decided int64 `json:"decided"`
-	}{Drained: drained, Decided: rt.m.decided.Load()})
+	}{Drained: drained, Decided: rt.obs.decided.Load()})
 }
 
-// Drain blocks until the router's own replay queue is empty and idle (no-op
-// in live mode, where the backends hold the queues).
+// Drain blocks until the router's own work is done: in replay mode, the
+// queue empty and idle; in live mode (where the backends hold the queues),
+// no renewal round in flight.
 func (rt *Router) Drain(timeout time.Duration) bool {
-	if rt.q == nil {
-		return true
-	}
 	deadline := time.Now().Add(timeout)
 	for {
-		if rt.q.idle() {
+		if rt.q != nil && !rt.q.Idle() {
+			rt.q.Drain()
+		} else if rt.renewing.Load() == 0 {
 			return true
 		}
-		rt.q.drain()
 		if time.Now().After(deadline) {
 			return false
 		}

@@ -48,6 +48,14 @@ type cluster struct {
 // router's Shards are derived from s.
 func startCluster(t testing.TB, in *model.Instance, s int, opt shard.Options, rcfg Config) *cluster {
 	t.Helper()
+	return startClusterWrapped(t, in, s, opt, rcfg, nil)
+}
+
+// startClusterWrapped is startCluster with every backend's handler passed
+// through wrap (nil: unwrapped) — the hook for fault-injecting tests.
+func startClusterWrapped(t testing.TB, in *model.Instance, s int, opt shard.Options, rcfg Config,
+	wrap func(http.Handler) http.Handler) *cluster {
+	t.Helper()
 	cl := &cluster{}
 	for si := 0; si < s; si++ {
 		bopt := opt
@@ -58,7 +66,11 @@ func startCluster(t testing.TB, in *model.Instance, s int, opt shard.Options, rc
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv)
+		var h http.Handler = srv
+		if wrap != nil {
+			h = wrap(h)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		t.Cleanup(func() { srv.Close() })
 		cl.backends = append(cl.backends, srv)
@@ -414,6 +426,70 @@ func TestRouterDegradesFailStop(t *testing.T) {
 	cl.call(t, "GET", "/readyz", nil, &rd)
 	if rd.Ready {
 		t.Fatal("degraded router reports ready")
+	}
+}
+
+// TestRouterCloseWaitsForRenewal pins the live-mode renewal lifecycle: a
+// round triggered by traffic runs on its own goroutine, and Close must not
+// return (nor release the coordinator's LP solver) while that round still
+// holds renewMu. The backends hold the round in /cluster/demand until the
+// test lets it go after Close has started.
+func TestRouterCloseWaitsForRenewal(t *testing.T) {
+	in := testInstance(t, 19, 40, 8)
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	hold := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cluster/demand" {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	const batch = 4
+	cl := startClusterWrapped(t, in, 2, shard.Options{Batch: batch, Seed: 7}, Config{}, hold)
+	// On failure, free the held requests before the backends shut down
+	// (cleanups run last-registered first).
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	for u := 0; u < batch; u++ {
+		if code := cl.call(t, "POST", "/v1/bid", bidRequest{User: u}, nil); code != http.StatusOK {
+			t.Fatalf("bid %d: %d", u, code)
+		}
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no renewal round started after a full batch of arrivals")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		cl.rt.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a renewal round was still in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	unblock()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned after the renewal round was released")
+	}
+	if !cl.rt.renewMu.TryLock() {
+		t.Fatal("renewMu still held after Close returned")
+	}
+	cl.rt.renewMu.Unlock()
+	if got := cl.rt.coord.Renewals(); got != 1 {
+		t.Fatalf("coordinator completed %d renewal rounds, want the 1 Close waited for", got)
 	}
 }
 

@@ -186,7 +186,7 @@ func (srv *Server) handleClusterDemand(w http.ResponseWriter, r *http.Request) {
 	}
 	var pending []int
 	for _, q := range srv.queues {
-		pending = q.pendingUsers(pending)
+		pending = q.PendingUsers(pending)
 	}
 	if pending == nil {
 		pending = []int{}
@@ -250,6 +250,9 @@ func (srv *Server) handleClusterAbort(w http.ResponseWriter, r *http.Request) {
 // handleClusterBatch is POST /cluster/batch — the router's replay-mode
 // dispatch of one ordered sub-batch onto this shard, mirroring what
 // Engine.DispatchBatch would feed this shard's planner in a single process.
+// It runs through Engine.ReplayBatch, the same path WAL recovery takes for
+// the OpBatch record it logs; a one-shard cluster engine never renews there
+// (the router's wire renewal owns the lease table).
 func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -265,12 +268,12 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, u := range req.Users {
 		if u < 0 || u >= srv.in.NumUsers() {
-			srv.m.badRequests.Add(1)
+			srv.obs.errs400.Inc()
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", u, srv.in.NumUsers()))
 			return
 		}
 		if !srv.eng.Owns(u) {
-			srv.m.misrouted.Add(1)
+			srv.obs.errs421.Inc()
 			httpError(w, http.StatusMisdirectedRequest, fmt.Sprintf("user %d is not owned by this shard", u))
 			return
 		}
@@ -282,7 +285,7 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 	for _, u := range req.Users {
 		if st := srv.state[u]; st == stateDecided || st == stateQueued {
 			srv.stateMu.Unlock()
-			srv.m.conflicts.Add(1)
+			srv.obs.errs409.Inc()
 			httpError(w, http.StatusConflict, fmt.Sprintf("user %d already %s", u,
 				map[uint8]string{stateQueued: "queued", stateDecided: "decided"}[st]))
 			return
@@ -292,7 +295,9 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 
 	srv.lockAll()
 	t0 := time.Now()
-	srv.eng.DispatchBatch(req.Users)
+	if err := srv.eng.ReplayBatch(req.Users); err != nil {
+		srv.obs.leaseErrors.Inc()
+	}
 	elapsed := time.Since(t0)
 	if srv.walWriter() != nil {
 		srv.walAppend(wal.Op{Kind: wal.OpBatch, TMillis: nowMillis(), Users: req.Users})
@@ -313,18 +318,17 @@ func (srv *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 		srv.state[u] = stateDecided
 	}
 	srv.stateMu.Unlock()
-	n := int64(len(req.Users))
-	srv.m.arrivals.Add(n)
-	srv.m.decided.Add(n)
+	o := srv.obs
+	o.arrivals.Add(int64(len(req.Users)))
+	o.decided.Add(int64(len(req.Users)))
 	for _, set := range decisions {
 		if len(set) > 0 {
-			srv.m.granted.Add(1)
+			o.granted.Inc()
 		}
+		// the batch's planner time, amortized per decision
+		o.decide.ObserveDuration(elapsed / time.Duration(len(decisions)))
 	}
-	if n > 0 {
-		srv.m.decide.add(elapsed / time.Duration(n))
-	}
-	srv.batches.Add(1)
+	o.batches.Inc()
 	writeJSON(w, http.StatusOK, ClusterBatchResponse{Decisions: decisions, Epoch: epoch})
 }
 
@@ -347,7 +351,7 @@ func (srv *Server) handleClusterExport(w http.ResponseWriter, r *http.Request) {
 	for _, u := range req.Users {
 		if u >= 0 && u < srv.in.NumUsers() && srv.state[u] == stateQueued {
 			srv.stateMu.Unlock()
-			srv.m.conflicts.Add(1)
+			srv.obs.errs409.Inc()
 			httpError(w, http.StatusConflict, fmt.Sprintf("user %d still queued; drain before export", u))
 			return
 		}

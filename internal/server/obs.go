@@ -1,24 +1,26 @@
 package server
 
-// The server's /metrics surface: every counter the bespoke /statsz JSON
-// reports, re-exported as Prometheus text exposition via internal/obs,
-// plus the latency histograms, WAL fsync cost, follower lag and the LP
-// solver counters that previously never left the process.
+// The server's one counter set: the obs registry behind /metrics. The
+// handlers and batching loops bump its counters and histograms directly,
+// and /statsz reads the same handles back (counters via Counter.Load,
+// latency percentiles via Histogram.Quantile), so the two surfaces can
+// never disagree.
 //
 // Three recording disciplines keep instrumentation from perturbing
 // serving:
 //
-//   - Hot-path samples (decision latencies, grant counts) are recorded
-//     inline by the batching loops — atomic increments only, no locks, no
-//     allocations (pinned by TestArrivalPathAllocs).
+//   - Hot-path samples (request counters, decision latencies, grant
+//     counts) are recorded inline by the handlers and batching loops —
+//     atomic increments only, no locks, no allocations (pinned by
+//     TestArrivalPathAllocs).
 //   - Engine-owned counters (lease renewals, moved seats, LP solver and
 //     phase-timer totals) are mirrored into the registry only at points
 //     that already hold the necessary exclusion (renewal rounds, replay
 //     batches, drain). A /metrics scrape therefore never takes a shard
 //     lock — it reads the last mirrored values.
 //   - Cheap shared-state reads (queue depth, WAL writer stats, follower
-//     lag) are refreshed at scrape time; none of their mutexes are held
-//     across serving work.
+//     lag, the slowlog count) are refreshed at scrape time; none of their
+//     mutexes are held across serving work.
 //
 // Every metric here obeys the DESIGN.md §12 cardinality rule: label values
 // are bounded by configuration (shard index, HTTP code, LP phase), never
@@ -34,9 +36,7 @@ import (
 	"github.com/ebsn/igepa/internal/shard"
 )
 
-// serverObs bundles the registry and the handles the serving loops touch.
-// A nil *serverObs (Config.DisableMetrics, benchmark baseline only) turns
-// every method into a cheap no-op.
+// serverObs bundles the registry and the handles the serving paths touch.
 type serverObs struct {
 	reg *obs.Registry
 
@@ -182,12 +182,12 @@ func newServerObs(srv *Server) *serverObs {
 	for qi, q := range srv.queues {
 		q := q
 		reg.GaugeFunc("igepa_queue_depth", "Requests waiting in the shard queue.",
-			func() float64 { return float64(q.depth()) }, obs.L("shard", fmt.Sprint(qi)))
+			func() float64 { return float64(q.Depth()) }, obs.L("shard", fmt.Sprint(qi)))
 	}
 	reg.GaugeFunc("igepa_queue_occupancy", "Deepest queue as a fraction of the depth bound.", func() float64 {
 		max := 0
 		for _, q := range srv.queues {
-			if d := q.depth(); d > max {
+			if d := q.Depth(); d > max {
 				max = d
 			}
 		}
@@ -230,22 +230,9 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	srv.obs.reg.WritePrometheus(w)
 }
 
-// refresh mirrors scrape-safe counters: the bespoke atomic set (kept
-// authoritative for /statsz), WAL writer stats, follower records and the
-// slow-arrival count.
+// refresh mirrors the counters owned elsewhere that are safe to read at
+// scrape time: the slowlog's count, WAL writer stats and follower records.
 func (o *serverObs) refresh(srv *Server) {
-	o.arrivals.Store(srv.m.arrivals.Load())
-	o.decided.Store(srv.m.decided.Load())
-	o.granted.Store(srv.m.granted.Load())
-	o.cancels.Store(srv.m.cancels.Load())
-	o.errs400.Store(srv.m.badRequests.Load())
-	o.errs409.Store(srv.m.conflicts.Load())
-	o.errs421.Store(srv.m.misrouted.Load())
-	o.errs429.Store(srv.m.rejected.Load())
-	o.errs503.Store(srv.m.unavailable.Load())
-	o.leaseErrors.Store(srv.m.leaseErrors.Load())
-	o.walErrors.Store(srv.m.walErrors.Load())
-	o.batches.Store(srv.batches.Load())
 	o.slowArrivals.Store(srv.slow.Count())
 	if w := srv.walWriter(); w != nil {
 		st := w.Stats()
@@ -258,39 +245,20 @@ func (o *serverObs) refresh(srv *Server) {
 	}
 }
 
-// observeDecision is the hot-path sample: three histogram observations.
-// Nil-safe and allocation-free.
-func (o *serverObs) observeDecision(wait, decide, total time.Duration) {
-	if o == nil {
-		return
-	}
-	o.queueWait.ObserveDuration(wait)
-	o.decide.ObserveDuration(decide)
-	o.total.ObserveDuration(total)
+// Percentiles is a (p50, p99) pair in microseconds, the /statsz currency.
+type Percentiles struct {
+	P50Micros int64 `json:"p50_us"`
+	P99Micros int64 `json:"p99_us"`
 }
 
-// observeWALCommit records the per-decision amortized append+commit cost.
-func (o *serverObs) observeWALCommit(d time.Duration) {
-	if o == nil {
-		return
+// percentiles reads a latency histogram back for /statsz: the cumulative
+// bucket-interpolated p50/p99 (obs.Histogram.Quantile) — the same numbers a
+// histogram_quantile over /metrics reports.
+func percentiles(h *obs.Histogram) Percentiles {
+	us := func(q float64) int64 {
+		return time.Duration(h.Quantile(q) * float64(time.Second)).Microseconds()
 	}
-	o.walCommit.ObserveDuration(d)
-}
-
-// observeFsync feeds wal.Options.ObserveSync.
-func (o *serverObs) observeFsync(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.walFsync.ObserveDuration(d)
-}
-
-// noteReadyFlip counts a follower readiness transition.
-func (o *serverObs) noteReadyFlip() {
-	if o == nil {
-		return
-	}
-	o.readyFlips.Inc()
+	return Percentiles{P50Micros: us(0.50), P99Micros: us(0.99)}
 }
 
 // mirrorEngine stores the engine-owned cumulative counters. The caller
@@ -298,9 +266,6 @@ func (o *serverObs) noteReadyFlip() {
 // calls it from its renewal points (tryRenew, the replay dispatcher,
 // drain), never from a scrape.
 func (o *serverObs) mirrorEngine(eng *shard.Engine, replay bool) {
-	if o == nil {
-		return
-	}
 	o.renewals.Store(int64(eng.Renewals()))
 	o.movedSeats.Store(int64(eng.MovedSeats()))
 	if replay {

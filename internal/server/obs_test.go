@@ -3,16 +3,20 @@ package server
 import (
 	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/ebsn/igepa/internal/batchq"
 	"github.com/ebsn/igepa/internal/obs"
 	"github.com/ebsn/igepa/internal/shard"
 	"github.com/ebsn/igepa/internal/wal"
@@ -78,6 +82,45 @@ func metricValue(fams map[string]obs.Family, family, sample string, labels map[s
 		}
 	}
 	return 0, false
+}
+
+// scrapedQuantile is histogram_quantile over one scraped histogram family:
+// the cumulative buckets, linear interpolation inside the bucket holding
+// the q·count-th observation, the last finite bound for the +Inf tail.
+func scrapedQuantile(t *testing.T, f obs.Family, q float64) float64 {
+	t.Helper()
+	type bucket struct{ le, n float64 }
+	var bs []bucket
+	for _, s := range f.Samples {
+		if s.Name != f.Name+"_bucket" {
+			continue
+		}
+		le, err := strconv.ParseFloat(s.Label("le"), 64)
+		if err != nil {
+			t.Fatalf("%s: bad le %q", f.Name, s.Label("le"))
+		}
+		n, err := s.Float()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs = append(bs, bucket{le, n})
+	}
+	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
+	if len(bs) == 0 || bs[len(bs)-1].n == 0 {
+		return 0
+	}
+	target := q * bs[len(bs)-1].n
+	prevLe, prevN := 0.0, 0.0
+	for _, b := range bs {
+		if b.n >= target {
+			if math.IsInf(b.le, 1) || b.n == prevN {
+				return prevLe
+			}
+			return prevLe + (b.le-prevLe)*(target-prevN)/(b.n-prevN)
+		}
+		prevLe, prevN = b.le, b.n
+	}
+	return prevLe
 }
 
 func requireMetric(t *testing.T, fams map[string]obs.Family, family, sample string, labels map[string]string) float64 {
@@ -175,24 +218,42 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	requireMetric(t, fams, "igepa_lp_bound_remaining", "igepa_lp_bound_remaining", nil)
 
+	// /statsz latency percentiles are the registry histograms read back:
+	// each p50/p99 equals Histogram.Quantile of its family, and that
+	// estimator agrees with histogram_quantile over the scraped buckets.
+	for _, lat := range []struct {
+		family string
+		h      *obs.Histogram
+		got    Percentiles
+	}{
+		{"igepa_total_seconds", srv.obs.total, st.Total},
+		{"igepa_decision_seconds", srv.obs.decide, st.Decision},
+		{"igepa_queue_wait_seconds", srv.obs.queueWait, st.QueueWait},
+		{"igepa_wal_commit_seconds", srv.obs.walCommit, st.WAL.Append},
+	} {
+		for _, p := range []struct {
+			q   float64
+			got int64
+		}{{0.50, lat.got.P50Micros}, {0.99, lat.got.P99Micros}} {
+			est := lat.h.Quantile(p.q)
+			if want := time.Duration(est * float64(time.Second)).Microseconds(); p.got != want {
+				t.Errorf("statsz %s p%v = %dus, want %dus (Histogram.Quantile)", lat.family, 100*p.q, p.got, want)
+			}
+			if scraped := scrapedQuantile(t, fams[lat.family], p.q); math.Abs(scraped-est) > 1e-12 {
+				t.Errorf("%s p%v: Quantile %v, scraped histogram_quantile %v", lat.family, 100*p.q, est, scraped)
+			}
+		}
+	}
+	// total is wait + decision + the amortized WAL share per arrival, so it
+	// dominates both components at every quantile.
+	if st.Total.P50Micros < st.Decision.P50Micros || st.Total.P99Micros < st.Decision.P99Micros ||
+		st.Total.P99Micros < st.QueueWait.P99Micros {
+		t.Errorf("statsz total %+v below a component: decision %+v, queue wait %+v", st.Total, st.Decision, st.QueueWait)
+	}
+
 	// Method discipline.
 	if code := c.status("POST", "/metrics", nil); code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /metrics: %d, want 405", code)
-	}
-}
-
-// TestMetricsDisabled pins the benchmark baseline: Config.DisableMetrics
-// removes the endpoint entirely.
-func TestMetricsDisabled(t *testing.T) {
-	_, _, c := startServer(t, testInstance(t, 3, 20, 6), Config{
-		Shard:          shard.Options{Shards: 2, Batch: 8, Seed: 1},
-		DisableMetrics: true,
-	})
-	if code := c.status("GET", "/metrics", nil); code != http.StatusNotFound {
-		t.Fatalf("GET /metrics with DisableMetrics: %d, want 404", code)
-	}
-	if code := c.status("GET", "/statsz", nil); code != http.StatusOK {
-		t.Fatalf("statsz must survive DisableMetrics: %d", code)
 	}
 }
 
@@ -216,9 +277,8 @@ func (b *syncBuffer) String() string {
 }
 
 // TestReplayBitIdenticalWithSlowlog is the no-perturbation acceptance pin:
-// a replay server with metrics on and a 1ns slowlog threshold (every
-// arrival traced) produces decisions bit-identical to a replay server with
-// all instrumentation off.
+// a replay server with a 1ns slowlog threshold (every arrival traced)
+// produces decisions bit-identical to a replay server without a slowlog.
 func TestReplayBitIdenticalWithSlowlog(t *testing.T) {
 	opts := shard.Options{Shards: 4, Batch: 16, Seed: 7, Lease: shard.LeaseLP, LiveBound: true}
 	base := testInstance(t, 23, 66, 10)
@@ -229,7 +289,7 @@ func TestReplayBitIdenticalWithSlowlog(t *testing.T) {
 		SlowLog: time.Nanosecond, SlowLogOutput: &slow,
 	})
 	plain, _, pc := startServer(t, base.Clone(), Config{
-		Shard: opts, Replay: true, DisableMetrics: true,
+		Shard: opts, Replay: true,
 	})
 
 	driveTraffic(t, ic, 66, 10, true)
@@ -264,21 +324,24 @@ func TestReplayBitIdenticalWithSlowlog(t *testing.T) {
 }
 
 // TestArrivalPathAllocs pins the hot-path instrumentation contract from
-// DESIGN.md §12: the per-arrival record — three registry histograms, the
-// WAL-commit histogram, the /statsz reservoir sample, and the slowlog
-// threshold gate — allocates nothing.
+// DESIGN.md §12: delivering a decision — the user-state update, the
+// decided/granted counters, the wait/decision/total histograms, the
+// slowlog threshold gate and the reply — plus the per-batch WAL-commit
+// histogram allocates nothing.
 func TestArrivalPathAllocs(t *testing.T) {
-	o := newServerObs(&Server{qlimit: 8})
-	slow := obs.NewSlowLog(time.Hour, io.Discard)
-	var res reservoir
+	srv := &Server{qlimit: 8, state: make([]uint8, 4)}
+	srv.obs = newServerObs(srv)
+	srv.slow = obs.NewSlowLog(time.Hour, io.Discard)
+	r := batchq.Request{User: 1, Reply: make(chan batchq.Reply, 1)}
+	events := []int{0, 2}
 	allocs := testing.AllocsPerRun(2000, func() {
-		o.observeDecision(5*time.Microsecond, 7*time.Microsecond, 12*time.Microsecond)
-		o.observeWALCommit(3 * time.Microsecond)
-		res.add(9 * time.Microsecond)
-		if slow.Slow(10 * time.Microsecond) {
-			t.Fatal("below-threshold arrival reported slow")
-		}
+		srv.obs.walCommit.ObserveDuration(3 * time.Microsecond)
+		srv.finishDecision(&r, 0, events, 1, 5*time.Microsecond, 7*time.Microsecond, 3*time.Microsecond)
+		<-r.Reply
 	})
+	if got := srv.slow.Count(); got != 0 {
+		t.Fatalf("below-threshold arrivals reported slow: %d", got)
+	}
 	if allocs != 0 {
 		t.Fatalf("arrival-path record allocates %.1f objects per arrival, want 0", allocs)
 	}
@@ -478,28 +541,27 @@ func TestFollowerHaltMetrics(t *testing.T) {
 }
 
 // BenchmarkArrivalPathObs measures the serving arrival path end to end
-// (HTTP codec, queue, micro-batch flush, planner, reply) with the
-// observability layer on versus off — the source of the BENCH_obs.json CI
-// artifact. The acceptance line: metrics=on within 2% of metrics=off ns/op
-// with zero extra allocs/op (the alloc half is also hard-pinned by
-// TestArrivalPathAllocs).
+// (HTTP codec, queue, micro-batch flush, planner, registry counters and
+// histograms, reply) with the slowlog armed versus off — the source of the
+// BENCH_obs.json CI artifact. The acceptance line: slowlog=on within 2% of
+// slowlog=off ns/op with zero extra allocs/op. The registry itself is
+// always on; its allocation half is hard-pinned by TestArrivalPathAllocs.
 func BenchmarkArrivalPathObs(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		disable bool
+		name string
+		slow bool
 	}{
-		{"metrics=on", false},
-		{"metrics=off", true},
+		{"slowlog=on", true},
+		{"slowlog=off", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			in := testInstance(b, 1, 400, 40)
 			cfg := Config{
-				Shard:          shard.Options{Shards: 4, Batch: 32, Seed: 1, CacheSize: 4096},
-				FlushInterval:  50 * time.Microsecond,
-				MicroBatch:     1,
-				DisableMetrics: mode.disable,
+				Shard:         shard.Options{Shards: 4, Batch: 32, Seed: 1, CacheSize: 4096},
+				FlushInterval: 50 * time.Microsecond,
+				MicroBatch:    1,
 			}
-			if !mode.disable {
+			if mode.slow {
 				// Slowlog armed but never firing: the per-arrival cost under
 				// test includes the threshold gate.
 				cfg.SlowLog = time.Hour

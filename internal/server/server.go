@@ -24,11 +24,11 @@
 // # Replay mode
 //
 // With Config.Replay the server runs one global queue and one dispatcher
-// that flushes strictly on batch size (no deadlines), renewing leases
-// between batches exactly as shard.Serve does. Because both drive the same
-// shard.Engine with the same schedule, replaying an arrival order through
-// the HTTP surface is bit-identical to ServeSharded on that order — the
-// determinism contract the pinned tests enforce (see DESIGN.md §6).
+// that flushes strictly on batch size (no deadlines) and runs each batch
+// through shard.Engine.ReplayBatch — the method shard.Serve drives. Because
+// both run the same schedule on the same engine, replaying an arrival order
+// through the HTTP surface is bit-identical to ServeSharded on that order —
+// the determinism contract the pinned tests enforce (see DESIGN.md §6).
 //
 // # Admin surface
 //
@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ebsn/igepa/internal/batchq"
 	"github.com/ebsn/igepa/internal/lp"
 	"github.com/ebsn/igepa/internal/model"
 	"github.com/ebsn/igepa/internal/obs"
@@ -120,12 +121,6 @@ type Config struct {
 	// LagBytes is the follower readiness bound (0 = DefaultLagBytes).
 	LagBytes int64
 
-	// DisableMetrics turns off the obs registry and the /metrics endpoint.
-	// It exists so the instrumentation-overhead benchmark (BENCH_obs.json)
-	// has an uninstrumented baseline; production servers keep the default
-	// (metrics on). Decisions are bit-identical either way — that is the
-	// no-perturbation contract, pinned by the replay-equivalence tests.
-	DisableMetrics bool
 	// SlowLog, when positive, logs every arrival whose end-to-end latency
 	// (queue wait + decision + amortized WAL commit) meets the threshold
 	// as one structured line, and every lease-renewal round that crosses
@@ -155,7 +150,7 @@ type Server struct {
 	flush time.Duration
 
 	mux    *http.ServeMux
-	queues []*queue // live: one per shard; replay: queues[0] only
+	queues []*batchq.Queue // live: one per shard; replay: queues[0] only
 
 	// shardMu[si] serializes all engine access touching shard si; whole-
 	// engine operations (renewal, replay dispatch, bid updates, snapshots)
@@ -164,9 +159,6 @@ type Server struct {
 	renewMu sync.Mutex
 	// sinceRenew counts arrivals since the last lease renewal (live mode).
 	sinceRenew atomic.Int64
-	// batches counts processed micro-batches (live mode's analogue of the
-	// engine's dispatched-batch epoch counter, which only replay advances).
-	batches atomic.Int64
 
 	stateMu sync.Mutex
 	state   []uint8
@@ -196,11 +188,10 @@ type Server struct {
 	closed  atomic.Bool
 	wg      sync.WaitGroup
 	started time.Time
-	m       metrics
 
-	// obs is the Prometheus-exposition registry behind /metrics (nil under
-	// Config.DisableMetrics); slow is the -slowlog structured logger (nil
-	// unless Config.SlowLog > 0). Both are nil-safe no-ops when off.
+	// obs is the server's one counter set: the registry behind /metrics,
+	// read back by /statsz. slow is the -slowlog structured logger (nil —
+	// a no-op — unless Config.SlowLog > 0).
 	// qlimit is the resolved per-queue depth bound. lastLP holds the LP
 	// snapshot at the previous renewal point (guarded by renewMu in live
 	// mode; replay's single dispatcher goroutine owns it there) so a slow
@@ -266,17 +257,14 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 		srv.slow = obs.NewSlowLog(cfg.SlowLog, out)
 	}
 
+	nq := s
 	if cfg.Replay {
-		srv.queues = []*queue{newQueue(depth)}
-	} else {
-		srv.queues = make([]*queue, s)
-		for si := 0; si < s; si++ {
-			srv.queues[si] = newQueue(depth)
-		}
+		nq = 1
 	}
-	if !cfg.DisableMetrics {
-		srv.obs = newServerObs(srv)
+	for i := 0; i < nq; i++ {
+		srv.queues = append(srv.queues, batchq.New(depth))
 	}
+	srv.obs = newServerObs(srv)
 
 	// Durability boot, before any serving goroutine exists: a leader
 	// replays checkpoint + WAL into the engine and opens the log for
@@ -312,9 +300,7 @@ func New(in *model.Instance, cfg Config) (*Server, error) {
 	srv.mux.HandleFunc("/healthz", srv.handleHealthz)
 	srv.mux.HandleFunc("/readyz", srv.handleReadyz)
 	srv.mux.HandleFunc("/statsz", srv.handleStatsz)
-	if srv.obs != nil {
-		srv.mux.HandleFunc("/metrics", srv.handleMetrics)
-	}
+	srv.mux.HandleFunc("/metrics", srv.handleMetrics)
 	srv.mux.HandleFunc("/admin/drain", srv.handleDrain)
 	srv.mux.HandleFunc("/admin/checkpoint", srv.handleCheckpoint)
 	srv.mux.HandleFunc("/admin/promote", srv.handlePromote)
@@ -362,7 +348,7 @@ func (srv *Server) Close() {
 	// still arrives, gets a 409).
 	srv.abortFreeze()
 	for _, q := range srv.queues {
-		q.close()
+		q.Close()
 	}
 	srv.wg.Wait()
 	// Backstop for the waiter-leak class of shutdown races: the consumers
@@ -371,9 +357,9 @@ func (srv *Server) Close() {
 	// forever. Hand every leftover a shutdown reply; handleBid turns it
 	// into a 503.
 	for _, q := range srv.queues {
-		for _, r := range q.takeAll() {
-			if r.reply != nil {
-				r.reply <- reply{shutdown: true}
+		for _, r := range q.TakeAll() {
+			if r.Reply != nil {
+				r.Reply <- batchq.Reply{Shutdown: true}
 			}
 		}
 	}
@@ -396,9 +382,9 @@ func (srv *Server) Drain(timeout time.Duration) bool {
 	for {
 		idle := true
 		for _, q := range srv.queues {
-			if !q.idle() {
+			if !q.Idle() {
 				idle = false
-				q.drain()
+				q.Drain()
 			}
 		}
 		if idle {
@@ -445,13 +431,22 @@ func (srv *Server) unlockAll() {
 // the shard lock, reply, then give the coordinator a chance to renew leases.
 func (srv *Server) shardLoop(si int) {
 	defer srv.wg.Done()
-	buf := make([]request, 0, srv.micro)
+	// decisions parks each decision between the engine call and its
+	// delivery: the loop decides the whole batch first, commits the WAL,
+	// and only then replies.
+	type decision struct {
+		events       []int
+		wait, decide time.Duration
+	}
+	buf := make([]batchq.Request, 0, srv.micro)
+	decisions := make([]decision, 0, srv.micro)
 	for {
-		batch := srv.queues[si].popBatch(srv.micro, srv.flush, buf)
+		batch := srv.queues[si].PopBatch(srv.micro, srv.flush, buf)
 		if batch == nil {
 			return
 		}
 		buf = batch
+		decisions = decisions[:0]
 		srv.shardMu[si].Lock()
 		// the lease epoch this batch is served under (renewMu holders also
 		// hold every shard lock, so the read is serialized)
@@ -459,14 +454,13 @@ func (srv *Server) shardLoop(si int) {
 		logging := srv.walWriter() != nil
 		var walDur, walShare time.Duration
 		for i := range batch {
-			r := &batch[i]
+			u := batch[i].User
 			t0 := time.Now()
-			r.events = srv.eng.ArriveOn(si, r.user)
-			r.decide = time.Since(t0)
-			r.wait = t0.Sub(r.enqueued)
+			events := srv.eng.ArriveOn(si, u)
+			decisions = append(decisions, decision{events: events, wait: t0.Sub(batch[i].Enqueued), decide: time.Since(t0)})
 			if logging {
 				a0 := time.Now()
-				srv.walAppend(wal.Op{Kind: wal.OpBid, TMillis: nowMillis(), User: r.user})
+				srv.walAppend(wal.Op{Kind: wal.OpBid, TMillis: nowMillis(), User: u})
 				walDur += time.Since(a0)
 			}
 		}
@@ -477,16 +471,14 @@ func (srv *Server) shardLoop(si int) {
 			srv.walCommit()
 			walDur += time.Since(c0)
 			walShare = walDur / time.Duration(len(batch))
-			srv.m.walAppend.add(walShare)
-			srv.obs.observeWALCommit(walShare)
+			srv.obs.walCommit.ObserveDuration(walShare)
 		}
-		for i := range batch {
-			r := &batch[i]
-			srv.finishDecision(r, si, r.events, epoch, r.wait, r.decide, walShare)
+		for i, d := range decisions {
+			srv.finishDecision(&batch[i], si, d.events, epoch, d.wait, d.decide, walShare)
 		}
 		srv.shardMu[si].Unlock()
-		srv.batches.Add(1)
-		srv.queues[si].finish()
+		srv.obs.batches.Inc()
+		srv.queues[si].Finish()
 		if srv.sinceRenew.Add(int64(len(batch))) >= int64(srv.b) &&
 			(srv.s > 1 || srv.eng.BoundEnabled()) {
 			srv.tryRenew()
@@ -507,7 +499,7 @@ func (srv *Server) tryRenew() {
 	srv.sinceRenew.Store(0)
 	var pending []int
 	for _, q := range srv.queues {
-		pending = q.pendingUsers(pending)
+		pending = q.PendingUsers(pending)
 	}
 	r0 := time.Now()
 	srv.lockAll()
@@ -533,7 +525,7 @@ func (srv *Server) tryRenew() {
 	}
 	srv.unlockAll()
 	if err != nil {
-		srv.m.leaseErrors.Add(1)
+		srv.obs.leaseErrors.Inc()
 	}
 	renewDur := time.Since(r0)
 	if srv.slow.Slow(renewDur) {
@@ -555,56 +547,51 @@ func (srv *Server) tryRenew() {
 }
 
 // replayLoop is the deterministic dispatcher: global batches of exactly B
-// submissions in arrival order (partial only on drain/close), lease renewal
-// fed with the batch about to run — the same schedule as shard.Serve, on
-// the same engine.
+// submissions in arrival order (partial only on drain/close), each run
+// through shard.Engine.ReplayBatch — the schedule shard.Serve runs, on the
+// same engine.
 func (srv *Server) replayLoop() {
 	defer srv.wg.Done()
-	buf := make([]request, 0, srv.b)
+	buf := make([]batchq.Request, 0, srv.b)
 	users := make([]int, 0, srv.b)
 	for {
-		batch := srv.queues[0].popBatch(srv.b, 0, buf)
+		batch := srv.queues[0].PopBatch(srv.b, 0, buf)
 		if batch == nil {
 			return
 		}
 		buf = batch
 		users = users[:0]
 		for i := range batch {
-			users = append(users, batch[i].user)
+			users = append(users, batch[i].User)
 		}
 		srv.lockAll()
-		if srv.eng.Epochs() > 0 && srv.s > 1 {
-			if _, err := srv.eng.RenewLeases(users); err != nil {
-				srv.m.leaseErrors.Add(1)
-			}
-		}
 		t0 := time.Now()
-		srv.eng.DispatchBatch(users)
+		if err := srv.eng.ReplayBatch(users); err != nil {
+			srv.obs.leaseErrors.Inc()
+		}
 		// One batch record stands in for the renewal and every decision:
-		// replay re-derives the renewal from engine state (see
-		// shard.Engine.Apply), exactly as the dispatch above did.
+		// recovery re-runs ReplayBatch on it (see shard.Engine.Apply).
 		var walShare time.Duration
 		if srv.walWriter() != nil {
 			w0 := time.Now()
 			srv.walAppend(wal.Op{Kind: wal.OpBatch, TMillis: nowMillis(), Users: users})
 			srv.walCommit()
 			walShare = time.Since(w0) / time.Duration(len(batch))
-			srv.m.walAppend.add(walShare)
-			srv.obs.observeWALCommit(walShare)
+			srv.obs.walCommit.ObserveDuration(walShare)
 		}
 		epoch := srv.eng.Epochs()
 		for i := range batch {
 			r := &batch[i]
-			si := srv.eng.ShardOf(r.user)
-			events := srv.eng.Assignment(si, r.user)
-			srv.finishDecision(r, si, events, epoch, t0.Sub(r.enqueued), srv.eng.LatencyOf(r.user), walShare)
+			si := srv.eng.ShardOf(r.User)
+			events := srv.eng.Assignment(si, r.User)
+			srv.finishDecision(r, si, events, epoch, t0.Sub(r.Enqueued), srv.eng.LatencyOf(r.User), walShare)
 		}
 		// Mirror the engine-owned counters (renewals, moved seats, LP solver
 		// stats) into the registry while the dispatcher still holds every
 		// shard lock — scrapes read the mirrors, never these locks.
 		srv.obs.mirrorEngine(srv.eng, true)
 		srv.unlockAll()
-		srv.queues[0].finish()
+		srv.queues[0].Finish()
 	}
 }
 
@@ -613,28 +600,28 @@ func (srv *Server) replayLoop() {
 // bumps — no locks beyond stateMu, no allocations (pinned by
 // TestArrivalPathAllocs) — and the slow-arrival trace builds its span list
 // only after the threshold comparison says the line will actually print.
-func (srv *Server) finishDecision(r *request, si int, events []int, epoch int, wait, decide, walShare time.Duration) {
+func (srv *Server) finishDecision(r *batchq.Request, si int, events []int, epoch int, wait, decide, walShare time.Duration) {
 	srv.stateMu.Lock()
-	srv.state[r.user] = stateDecided
+	srv.state[r.User] = stateDecided
 	srv.stateMu.Unlock()
-	srv.m.decided.Add(1)
+	o := srv.obs
+	o.decided.Inc()
 	if len(events) > 0 {
-		srv.m.granted.Add(1)
+		o.granted.Inc()
 	}
-	srv.m.queueWait.add(wait)
-	srv.m.decide.add(decide)
-	srv.m.total.add(wait + decide)
 	total := wait + decide + walShare
-	srv.obs.observeDecision(wait, decide, total)
+	o.queueWait.ObserveDuration(wait)
+	o.decide.ObserveDuration(decide)
+	o.total.ObserveDuration(total)
 	if srv.slow.Slow(total) {
-		srv.slow.Note("bid", r.user, si, total, []obs.Span{
+		srv.slow.Note("bid", r.User, si, total, []obs.Span{
 			{Name: "wait", D: wait},
 			{Name: "decide", D: decide},
 			{Name: "wal", D: walShare},
 		})
 	}
-	if r.reply != nil {
-		r.reply <- reply{events: events, epoch: epoch, wait: wait}
+	if r.Reply != nil {
+		r.Reply <- batchq.Reply{Events: events, Epoch: epoch, Wait: wait}
 	}
 }
 
@@ -666,12 +653,12 @@ func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 	}
 	var req bidRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		srv.m.badRequests.Add(1)
+		srv.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
 	if req.User < 0 || req.User >= srv.in.NumUsers() {
-		srv.m.badRequests.Add(1)
+		srv.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", req.User, srv.in.NumUsers()))
 		return
 	}
@@ -680,7 +667,7 @@ func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Bids != nil {
 		if err := srv.checkBids(req.Bids); err != nil {
-			srv.m.badRequests.Add(1)
+			srv.obs.errs400.Inc()
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -690,7 +677,7 @@ func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 	st := srv.state[req.User]
 	if st == stateQueued || st == stateDecided {
 		srv.stateMu.Unlock()
-		srv.m.conflicts.Add(1)
+		srv.obs.errs409.Inc()
 		httpError(w, http.StatusConflict, fmt.Sprintf("user %d already %s", req.User,
 			map[uint8]string{stateQueued: "queued", stateDecided: "decided"}[st]))
 		return
@@ -699,9 +686,9 @@ func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 	srv.stateMu.Unlock()
 
 	wait := req.Wait == nil || *req.Wait
-	rq := request{user: req.User, enqueued: time.Now()}
+	rq := batchq.Request{User: req.User, Enqueued: time.Now()}
 	if wait {
-		rq.reply = make(chan reply, 1)
+		rq.Reply = make(chan batchq.Reply, 1)
 	}
 	var err error
 	if req.Bids != nil {
@@ -721,29 +708,29 @@ func (srv *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		srv.rollbackQueued(req.User, st)
-		if err == errQueueClosed {
-			srv.m.unavailable.Add(1)
+		if err == batchq.ErrClosed {
+			srv.obs.errs503.Inc()
 			httpError(w, http.StatusServiceUnavailable, "server closing")
 			return
 		}
-		srv.m.rejected.Add(1)
+		srv.obs.errs429.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(srv.cfg.RetryAfter)))
 		httpError(w, http.StatusTooManyRequests, "queue full")
 		return
 	}
-	srv.m.arrivals.Add(1)
+	srv.obs.arrivals.Inc()
 	if !wait {
 		writeJSON(w, http.StatusAccepted, bidResponse{User: req.User, Queued: true})
 		return
 	}
-	rep := <-rq.reply
-	if rep.shutdown {
-		srv.m.unavailable.Add(1)
+	rep := <-rq.Reply
+	if rep.Shutdown {
+		srv.obs.errs503.Inc()
 		httpError(w, http.StatusServiceUnavailable, "server closed before deciding")
 		return
 	}
 	writeJSON(w, http.StatusOK, bidResponse{
-		User: req.User, Events: rep.events, Epoch: rep.epoch, WaitUS: rep.wait.Microseconds(),
+		User: req.User, Events: rep.Events, Epoch: rep.Epoch, WaitUS: rep.Wait.Microseconds(),
 	})
 }
 
@@ -766,7 +753,7 @@ func (srv *Server) rollbackQueued(u int, prev uint8) {
 // router its routing table is stale (mid-migration) and to re-resolve.
 func (srv *Server) owned(w http.ResponseWriter, u int) bool {
 	if srv.cluster && !srv.eng.Owns(u) {
-		srv.m.misrouted.Add(1)
+		srv.obs.errs421.Inc()
 		httpError(w, http.StatusMisdirectedRequest, fmt.Sprintf("user %d is not owned by this shard", u))
 		return false
 	}
@@ -778,12 +765,12 @@ func (srv *Server) owned(w http.ResponseWriter, u int) bool {
 // durable. Answers 503 and reports false when writes are off.
 func (srv *Server) writable(w http.ResponseWriter) bool {
 	if srv.follow.Load() {
-		srv.m.unavailable.Add(1)
+		srv.obs.errs503.Inc()
 		httpError(w, http.StatusServiceUnavailable, "read-only follower; POST /admin/promote to take over")
 		return false
 	}
 	if srv.walBroken() {
-		srv.m.unavailable.Add(1)
+		srv.obs.errs503.Inc()
 		httpError(w, http.StatusServiceUnavailable, "write-ahead log failed; not accepting writes")
 		return false
 	}
@@ -791,11 +778,11 @@ func (srv *Server) writable(w http.ResponseWriter) bool {
 }
 
 // enqueue routes the request to the owning queue.
-func (srv *Server) enqueue(rq request) error {
+func (srv *Server) enqueue(rq batchq.Request) error {
 	if srv.cfg.Replay {
-		return srv.queues[0].push(rq)
+		return srv.queues[0].Push(rq)
 	}
-	return srv.queues[srv.eng.ShardOf(rq.user)].push(rq)
+	return srv.queues[srv.eng.ShardOf(rq.User)].Push(rq)
 }
 
 // checkBids validates a replacement bid set: event indices in range, no
@@ -846,12 +833,12 @@ func (srv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	var req cancelRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		srv.m.badRequests.Add(1)
+		srv.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
 	if req.User < 0 || req.User >= srv.in.NumUsers() {
-		srv.m.badRequests.Add(1)
+		srv.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("user %d outside [0,%d)", req.User, srv.in.NumUsers()))
 		return
 	}
@@ -861,7 +848,7 @@ func (srv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	srv.stateMu.Lock()
 	if srv.state[req.User] != stateDecided {
 		srv.stateMu.Unlock()
-		srv.m.conflicts.Add(1)
+		srv.obs.errs409.Inc()
 		httpError(w, http.StatusConflict, fmt.Sprintf("user %d has no active assignment", req.User))
 		return
 	}
@@ -876,7 +863,7 @@ func (srv *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		srv.walCommit()
 	}
 	srv.shardMu[si].Unlock()
-	srv.m.cancels.Add(1)
+	srv.obs.cancels.Inc()
 	if freed == nil {
 		freed = []int{}
 	}
@@ -911,7 +898,7 @@ func (srv *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	}
 	u, err := strconv.Atoi(q)
 	if err != nil || u < 0 || u >= srv.in.NumUsers() {
-		srv.m.badRequests.Add(1)
+		srv.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, "bad user")
 		return
 	}
@@ -959,7 +946,7 @@ func (srv *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	v, err := strconv.Atoi(q)
 	if err != nil || v < 0 || v >= srv.in.NumEvents() {
-		srv.m.badRequests.Add(1)
+		srv.obs.errs400.Inc()
 		httpError(w, http.StatusBadRequest, "bad event")
 		return
 	}
@@ -991,7 +978,7 @@ type healthResponse struct {
 // alive but not ready).
 func (srv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ok", http.StatusOK
-	if srv.m.leaseErrors.Load() > 0 {
+	if srv.obs.leaseErrors.Load() > 0 {
 		status, code = "degraded: lease invariant violated", http.StatusInternalServerError
 	}
 	if srv.walBroken() {
@@ -1161,26 +1148,27 @@ type LPReport struct {
 
 // Stats assembles the admin snapshot (also served as /statsz).
 func (srv *Server) Stats() Stats {
+	o := srv.obs
 	st := Stats{
 		Mode: srv.modeName(), UptimeMS: time.Since(srv.started).Milliseconds(),
 		Shards: srv.s, Batch: srv.b, MicroBatch: srv.micro,
 		FlushMicros: srv.flush.Microseconds(),
 		QueueLimit:  srv.qlimit,
-		Arrivals:    srv.m.arrivals.Load(),
-		Decided:     srv.m.decided.Load(),
-		Granted:     srv.m.granted.Load(),
-		Cancels:     srv.m.cancels.Load(),
-		Rejected:    srv.m.rejected.Load(),
-		Conflicts:   srv.m.conflicts.Load(),
-		BadRequests: srv.m.badRequests.Load(),
-		Misrouted:   srv.m.misrouted.Load(),
-		LeaseErrors: srv.m.leaseErrors.Load(),
-		QueueWait:   srv.m.queueWait.snapshot(),
-		Decision:    srv.m.decide.snapshot(),
-		Total:       srv.m.total.snapshot(),
+		Arrivals:    o.arrivals.Load(),
+		Decided:     o.decided.Load(),
+		Granted:     o.granted.Load(),
+		Cancels:     o.cancels.Load(),
+		Rejected:    o.errs429.Load(),
+		Conflicts:   o.errs409.Load(),
+		BadRequests: o.errs400.Load(),
+		Misrouted:   o.errs421.Load(),
+		LeaseErrors: o.leaseErrors.Load(),
+		QueueWait:   percentiles(o.queueWait),
+		Decision:    percentiles(o.decide),
+		Total:       percentiles(o.total),
 	}
 	for _, q := range srv.queues {
-		st.QueueDepth = append(st.QueueDepth, q.depth())
+		st.QueueDepth = append(st.QueueDepth, q.Depth())
 	}
 	srv.lockAll()
 	// replay counts global dispatched batches in the engine; live counts
@@ -1188,7 +1176,7 @@ func (srv *Server) Stats() Stats {
 	if srv.cfg.Replay {
 		st.Epochs = srv.eng.Epochs()
 	} else {
-		st.Epochs = int(srv.batches.Load())
+		st.Epochs = int(o.batches.Load())
 	}
 	st.LeaseRenewals = srv.eng.Renewals()
 	st.MovedSeats = srv.eng.MovedSeats()
@@ -1198,7 +1186,7 @@ func (srv *Server) Stats() Stats {
 	for si := 0; si < srv.s; si++ {
 		row := ShardStats{Arrivals: srv.eng.ArrivalsOn(si), Utility: srv.eng.ShardUtility(si)}
 		if !srv.cfg.Replay {
-			row.QueueDepth = srv.queues[si].depth()
+			row.QueueDepth = srv.queues[si].Depth()
 		}
 		st.PerShard = append(st.PerShard, row)
 		st.Utility += row.Utility
@@ -1248,7 +1236,7 @@ func (srv *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ok := srv.Drain(10 * time.Second)
-	writeJSON(w, http.StatusOK, drainResponse{Drained: ok, Decided: srv.m.decided.Load()})
+	writeJSON(w, http.StatusOK, drainResponse{Drained: ok, Decided: srv.obs.decided.Load()})
 }
 
 // --- helpers --------------------------------------------------------------

@@ -228,17 +228,9 @@ func (e *Engine) Apply(op wal.Op) error {
 				return fmt.Errorf("shard: replay: batch with unknown user %d", u)
 			}
 		}
-		// The Serve/replay-mode schedule: renew before every batch after the
-		// first, fed with the batch about to run. Derived from engine state
-		// so the log needs no renewal records in replay mode.
-		var lerr error
-		if e.epochs > 0 && e.s > 1 {
-			if _, err := e.RenewLeases(op.Users); err != nil {
-				lerr = err
-			}
-		}
-		e.DispatchBatch(op.Users)
-		return lerr
+		// The replay schedule derives its renewals from engine state, so
+		// the log needs no renewal records in replay mode.
+		return e.ReplayBatch(op.Users)
 	case wal.OpRenew:
 		for _, u := range op.Users {
 			if u < 0 || u >= nu {

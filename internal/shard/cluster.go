@@ -276,7 +276,7 @@ func NewCoordinator(in *model.Instance, opt Options) (*Coordinator, error) {
 		return nil, &ConfigError{Field: "Shards", Reason: fmt.Sprintf("must be positive, got %d", opt.Shards)}
 	}
 	switch opt.Lease {
-	case LeaseDemand, LeaseEven, LeaseLP:
+	case LeaseDemand, LeaseLP:
 	default:
 		return nil, &ConfigError{Field: "Lease", Reason: fmt.Sprintf("unknown lease policy %v", opt.Lease)}
 	}

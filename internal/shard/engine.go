@@ -120,7 +120,7 @@ func NewEngine(in *model.Instance, opt Options) (*Engine, error) {
 		return nil, &ConfigError{Field: "Planner", Reason: fmt.Sprintf("unknown planner kind %v", opt.Planner)}
 	}
 	switch opt.Lease {
-	case LeaseDemand, LeaseEven, LeaseLP:
+	case LeaseDemand, LeaseLP:
 	default:
 		return nil, &ConfigError{Field: "Lease", Reason: fmt.Sprintf("unknown lease policy %v", opt.Lease)}
 	}
@@ -279,6 +279,24 @@ func (e *Engine) DispatchBatch(users []int) {
 	if e.bound != nil {
 		e.UpdateBound() // failures are counted in BoundStats.Errors
 	}
+}
+
+// ReplayBatch runs one batch of the replay schedule: before every batch
+// after the first, a lease renewal fed with this batch's users (multi-shard
+// engines only), then DispatchBatch. It is the one definition of that
+// schedule — Serve, the replay server's dispatcher, WAL recovery of an
+// OpBatch record, a cluster shard's /cluster/batch and igepa-serve's paced
+// replay all run batches through it, so their decisions agree by
+// construction. A *LeaseError from
+// the renewal is returned after the batch has been dispatched: the serving
+// layer counts it and serves on, recovery reproduces exactly that.
+func (e *Engine) ReplayBatch(users []int) error {
+	var err error
+	if e.epochs > 0 && e.s > 1 {
+		_, err = e.RenewLeases(users)
+	}
+	e.DispatchBatch(users)
+	return err
 }
 
 // arriveOn serves user u on shard si and accounts the granted utility.

@@ -38,8 +38,6 @@
 //     coordinator knows the batch composition before dispatch, so seats go
 //     where bidders are about to arrive. Events nobody in the next batch
 //     bids on fall back to the even split.
-//   - LeaseEven: the pool is re-split evenly, remainder rotated by (event,
-//     epoch) — the PR-2 protocol, kept as the ablation baseline.
 //   - LeaseLP: the coordinator solves a small transportation LP over
 //     (shard, event) seat grants — maximizing predicted next-batch value
 //     subject to the free pool, per-shard attendance caps and per-pair
@@ -99,6 +97,16 @@ func (k PlannerKind) String() string {
 	}
 }
 
+// ParsePlannerKind is the inverse of PlannerKind.String.
+func ParsePlannerKind(name string) (PlannerKind, error) {
+	for _, k := range []PlannerKind{PlannerGreedy, PlannerThreshold} {
+		if name == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown planner %q (want greedy or threshold)", name)
+}
+
 // LeasePolicy selects how the coordinator re-splits each event's free seat
 // pool at renewal time.
 type LeasePolicy int
@@ -108,9 +116,6 @@ const (
 	// bidder counts for the next batch (largest-remainder rounding; even
 	// split for events with no pending demand). The default.
 	LeaseDemand LeasePolicy = iota
-	// LeaseEven splits each pool evenly, remainder rotated by (event,
-	// epoch) — the original protocol, kept for ablation.
-	LeaseEven
 	// LeaseLP solves a transportation LP over (shard, event) grants on a
 	// persistent warm-started solver and leases seats along its optimum.
 	LeaseLP
@@ -121,13 +126,25 @@ func (l LeasePolicy) String() string {
 	switch l {
 	case LeaseDemand:
 		return "demand"
-	case LeaseEven:
-		return "even"
 	case LeaseLP:
 		return "lp"
 	default:
 		return fmt.Sprintf("LeasePolicy(%d)", int(l))
 	}
+}
+
+// ParseLeasePolicy is the inverse of LeasePolicy.String; "" selects the
+// default (LeaseDemand).
+func ParseLeasePolicy(name string) (LeasePolicy, error) {
+	for _, l := range []LeasePolicy{LeaseDemand, LeaseLP} {
+		if name == l.String() {
+			return l, nil
+		}
+	}
+	if name == "" {
+		return LeaseDemand, nil
+	}
+	return 0, fmt.Errorf("unknown lease policy %q (want demand or lp)", name)
 }
 
 // Options configures Serve.
@@ -277,10 +294,10 @@ func CheckOrder(in *model.Instance, order []int) error {
 // errors on out-of-range or duplicate arrivals, mirroring online.Run.
 // Invalid configurations yield a *ConfigError.
 //
-// Serve is a thin driver over Engine: one DispatchBatch per B arrivals, one
-// RenewLeases between batches fed with the next batch's composition. The
-// HTTP serving layer's replay mode drives the identical engine the same
-// way, so its decisions are bit-identical to Serve's by construction.
+// Serve is a thin driver over Engine: one ReplayBatch per B arrivals. The
+// HTTP serving layer's replay mode drives the identical engine through the
+// same method, so its decisions are bit-identical to Serve's by
+// construction.
 func Serve(in *model.Instance, order []int, opt Options) (*Result, error) {
 	e, err := NewEngine(in, opt)
 	if err != nil {
@@ -292,12 +309,8 @@ func Serve(in *model.Instance, order []int, opt Options) (*Result, error) {
 	}
 	b := e.Batch()
 	for start := 0; start < len(order); start += b {
-		end := min(start+b, len(order))
-		e.DispatchBatch(order[start:end])
-		if end < len(order) && e.Shards() > 1 {
-			if _, err := e.RenewLeases(order[end:min(end+b, len(order))]); err != nil {
-				return nil, err
-			}
+		if err := e.ReplayBatch(order[start:min(start+b, len(order))]); err != nil {
+			return nil, err
 		}
 	}
 	return e.Result()
@@ -336,7 +349,7 @@ func newLeaseRenewer(in *model.Instance, budgets [][]int, planners []shardPlanne
 		s: s, nv: in.NumEvents(),
 		newRem: make([]int, s),
 	}
-	if opt.Lease != LeaseEven && s > 1 {
+	if s > 1 {
 		r.demand = make([]int, s*r.nv)
 		r.value = make([]float64, s*r.nv)
 		r.attCap = make([]int, s)
@@ -366,8 +379,6 @@ func (r *leaseRenewer) solveStats() lp.SolverStats {
 // given) and returns the number of seats that changed owner.
 func (r *leaseRenewer) renew(epoch int, next []int) int {
 	switch r.opt.Lease {
-	case LeaseEven:
-		return renewLeases(r.in, r.budgets, r.planners, epoch, r.newRem)
 	case LeaseLP:
 		r.tallyDemand(next)
 		if moved, ok := r.renewLP(epoch); ok {
@@ -458,9 +469,8 @@ func (r *leaseRenewer) applyEvent(v int) int {
 }
 
 // evenSplit fills newRem with pool seats split evenly across the shards,
-// the remainder rotated by offset so extra seats circulate — the one copy
-// of the base/remainder rule shared by LeaseEven and the zero-demand
-// fallback of LeaseDemand.
+// the remainder rotated by offset so extra seats circulate — LeaseDemand's
+// fallback for events nobody in the next batch bids on.
 func evenSplit(newRem []int, pool, offset int) {
 	s := len(newRem)
 	base, rem := pool/s, pool%s
@@ -619,30 +629,4 @@ func (r *leaseRenewer) renewLP(epoch int) (int, bool) {
 		moved += r.applyEvent(v)
 	}
 	return moved, true
-}
-
-// renewLeases implements the renewal round: per event, reclaim every
-// shard's unused seats and re-split the free pool evenly, rotating the
-// remainder by (event, epoch) so the extra seats circulate. Consumed seats
-// stay with their shard, so Σ_s budget[s][v] = cv is restored exactly.
-// Returns the number of seats that changed owner.
-func renewLeases(in *model.Instance, budgets [][]int, planners []shardPlanner, epoch int, newRem []int) int {
-	s := len(budgets)
-	moved := 0
-	for v := 0; v < in.NumEvents(); v++ {
-		used := 0
-		for si := 0; si < s; si++ {
-			used += planners[si].loads[v]
-		}
-		pool := in.Events[v].Capacity - used
-		evenSplit(newRem, pool, v+epoch)
-		for si := 0; si < s; si++ {
-			load := planners[si].loads[v]
-			if oldRem := budgets[si][v] - load; newRem[si] > oldRem {
-				moved += newRem[si] - oldRem
-			}
-			budgets[si][v] = load + newRem[si]
-		}
-	}
-	return moved
 }

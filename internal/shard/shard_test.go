@@ -161,7 +161,7 @@ func TestUtilityDegradesGracefully(t *testing.T) {
 func TestLeasePoliciesFeasibleAndDeterministic(t *testing.T) {
 	in := testInstance(t, 29, 200, 30)
 	order := arrivalOrder(5, in.NumUsers())
-	for _, pol := range []LeasePolicy{LeaseDemand, LeaseEven, LeaseLP} {
+	for _, pol := range []LeasePolicy{LeaseDemand, LeaseLP} {
 		for _, s := range []int{2, 8} {
 			label := fmt.Sprintf("%v/S=%d", pol, s)
 			opt := Options{Shards: s, Batch: 32, Seed: 42, Lease: pol, Workers: 1}
@@ -246,15 +246,37 @@ func TestRecordLatency(t *testing.T) {
 }
 
 func TestLeasePolicyString(t *testing.T) {
-	if LeaseDemand.String() != "demand" || LeaseEven.String() != "even" ||
-		LeaseLP.String() != "lp" || LeasePolicy(9).String() == "" {
+	if LeaseDemand.String() != "demand" || LeaseLP.String() != "lp" || LeasePolicy(9).String() == "" {
 		t.Error("LeasePolicy.String broken")
+	}
+	// the parsers are the inverses of String; "" is the default policy
+	for _, l := range []LeasePolicy{LeaseDemand, LeaseLP} {
+		if got, err := ParseLeasePolicy(l.String()); err != nil || got != l {
+			t.Errorf("ParseLeasePolicy(%q) = %v, %v", l.String(), got, err)
+		}
+	}
+	if got, err := ParseLeasePolicy(""); err != nil || got != LeaseDemand {
+		t.Errorf("ParseLeasePolicy(\"\") = %v, %v, want demand", got, err)
+	}
+	for _, k := range []PlannerKind{PlannerGreedy, PlannerThreshold} {
+		if got, err := ParsePlannerKind(k.String()); err != nil || got != k {
+			t.Errorf("ParsePlannerKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"even", "nope"} {
+		if _, err := ParseLeasePolicy(bad); err == nil {
+			t.Errorf("ParseLeasePolicy(%q) accepted", bad)
+		}
+		if _, err := ParsePlannerKind(bad); err == nil {
+			t.Errorf("ParsePlannerKind(%q) accepted", bad)
+		}
 	}
 }
 
-// TestRenewLeasesInvariant white-boxes the renewal round: it must restore
-// Σ_s budget[s][v] = cv exactly, never revoke a consumed seat, and conserve
-// the free pool.
+// TestRenewLeasesInvariant white-boxes the even-split renewal round (the
+// demand renewer with no pending demand, where every event falls back to
+// evenSplit): it must restore Σ_s budget[s][v] = cv exactly, never revoke a
+// consumed seat, and conserve the free pool.
 func TestRenewLeasesInvariant(t *testing.T) {
 	in := testInstance(t, 17, 40, 12)
 	rng := xrand.New(1)
@@ -278,7 +300,8 @@ func TestRenewLeasesInvariant(t *testing.T) {
 				}
 			}
 		}
-		moved := renewLeases(in, budgets, planners, trial, make([]int, s))
+		r := newLeaseRenewer(in, budgets, planners, Options{Shards: s, Lease: LeaseDemand})
+		moved := r.renew(trial, nil)
 		if moved < 0 {
 			t.Fatalf("trial %d: negative moved-seat count %d", trial, moved)
 		}
